@@ -92,6 +92,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+        if value >= 1:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+
+
 # ---------------------------------------------------------------------------
 # Config parsing
 # ---------------------------------------------------------------------------
@@ -280,7 +290,7 @@ def parse_config(text: str, path: str, seed_override: int | None = None):
 # ---------------------------------------------------------------------------
 
 def read_data_file(path: str) -> np.ndarray:
-    """One numeric value per line; '#' starts a comment, blanks are skipped."""
+    """One finite numeric value per line; '#' starts a comment, blanks are skipped."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -295,9 +305,19 @@ def read_data_file(path: str) -> np.ndarray:
             values.append(float(line))
         except ValueError:
             raise DataError(f"{path}:{lineno}: could not parse {line!r} as a number") from None
-    if len(values) < 2:
-        raise DataError(f"{path}: need at least 2 observations, found {len(values)}")
-    return np.asarray(values, dtype=float)
+    data = np.asarray(values, dtype=float)
+    finite = np.isfinite(data)
+    if not finite.all():
+        # a single vectorized check keeps the per-line loop free of extra
+        # work; the line of the first non-finite value is found only on failure
+        index = int(np.argmin(finite))
+        lineno = [
+            n for n, raw in enumerate(text.splitlines(), start=1) if raw.split("#", 1)[0].strip()
+        ][index]
+        raise DataError(f"{path}:{lineno}: value {float(data[index])!r} is not finite")
+    if data.size < 2:
+        raise DataError(f"{path}: need at least 2 observations, found {data.size}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -431,13 +451,13 @@ def _load_fit_file(path: str) -> tuple[TransformSpec, float]:
         xi_hat = float(payload["xi_hat"])
     except (KeyError, TypeError, ValueError):
         raise DataError(f"{path}: fit file needs numeric mu_hat, sigma_hat and xi_hat") from None
-    form = TransformForm(payload.get("form", "three_parameter"))
     alpha = payload.get("alpha_transformed")
     if alpha is None:
         if xi_hat <= 0:
             raise DataError(f"{path}: cannot derive alpha_transformed from xi_hat = {xi_hat}")
         alpha = 1.0 / xi_hat
     try:
+        form = TransformForm(payload.get("form", "three_parameter"))
         spec = TransformSpec(mu_hat, sigma_hat, xi_hat, form)
     except ValueError as err:
         raise DataError(f"{path}: {err}") from None
@@ -477,7 +497,7 @@ def _build_parser() -> _Parser:
     sim.add_argument("--config", required=True, help="config file path")
     sim.add_argument("--out", required=True, help="output document path")
     sim.add_argument("--format", choices=("csv", "json"), default="csv")
-    sim.add_argument("--threads", type=int, default=1, help="worker processes")
+    sim.add_argument("--threads", type=_positive_int, default=1, help="worker processes")
     sim.add_argument("--seed", type=int, default=None, help="override all config seeds")
     sim.set_defaults(func=_cmd_simulate)
 

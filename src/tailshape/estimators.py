@@ -80,9 +80,11 @@ class FitResult:
     """A fitted shape parameter with optional scale/location and diagnostics.
 
     ``diagnostics`` maps stable names to floats.  Keys used by this package:
-    ``converged`` (1.0/0.0, profile likelihood optimizers), ``optimizer_iterations``,
-    ``clamp_count`` (transform pipelines), ``alpha_transformed`` (1/xi of a
-    transformed fit), ``theta`` (profile maximizer xi/sigma), ``grid_size``.
+    ``converged`` (1.0/0.0, profile likelihood optimizers),
+    ``optimizer_iterations`` (profile-score evaluations of the GPD MLE root
+    refinement, one per Newton or bisection step), ``clamp_count`` (transform
+    pipelines), ``alpha_transformed`` (1/xi of a transformed fit), ``theta``
+    (profile maximizer xi/sigma), ``grid_size``.
     """
 
     xi_hat: float
@@ -223,32 +225,52 @@ def estimate_zhang_stephens(excesses) -> FitResult:
     )
 
 
-def _profile_slope(theta: float, x: np.ndarray) -> float:
-    """Derivative of the profile log-likelihood with respect to log(theta),
-    divided by n: 1 - d/xi - d with d = mean(theta*x / (1 + theta*x)).
+def _profile_score(theta: float, x: np.ndarray) -> tuple[float, float]:
+    """Derivative g of the profile log-likelihood with respect to u = log(theta),
+    divided by n, and its derivative dg/du.
 
-    Positive left of the interior maximum and negative right of it; locating
-    the sign change is numerically far better conditioned than comparing
-    near-equal log-likelihood values.
+    With t = theta*x, xi = mean(log1p(t)), d = mean(t/(1+t)) and
+    d' = mean(t/(1+t)^2),
+
+        g = 1 - d/xi - d,  dg/du = -(d'*xi - d^2)/xi^2 - d'.
+
+    g is positive left of the interior maximum and negative right of it;
+    locating its sign change is numerically far better conditioned than
+    comparing near-equal log-likelihood values.  Where xi underflows to zero
+    g is reported as +inf with slope 0, which sends a root search to bisect.
     """
     t = theta * x
     xi = float(np.mean(np.log1p(t)))
-    d = float(np.mean(t / (1.0 + t)))
     if xi == 0.0:
-        return math.inf
-    return 1.0 - d / xi - d
+        return math.inf, 0.0
+    q = 1.0 + t
+    r = t / q
+    d = float(np.mean(r))
+    dd = float(np.mean(r / q))
+    return 1.0 - d / xi - d, -(dd * xi - d * d) / (xi * xi) - dd
 
 
 def estimate_gpd_mle(excesses) -> FitResult:
     """Numerical maximum likelihood for the zero-location, heavy-tailed GPD.
 
-    The search runs over the profile likelihood in theta = xi/sigma on
-    (0, 1e4/mean(x)]: 200 log-spaced scan points bracket the maximum, then a
-    bisection on the sign of the profile slope refines it to relative
-    tolerance below 1e-10.  When the profile is still rising at the upper
-    bracket the maximum does not exist (theta diverging); the boundary fit is
-    returned with ``converged`` set to 0.0 in the diagnostics rather than
-    silently reporting an interior optimum.
+    Following Grimshaw (1993), the fit is the root of the profile score in
+    theta = xi/sigma on (0, 1e4/mean(x)].  200 log-spaced scan points pick the
+    highest profile likelihood and bracket it by its neighbours.  A
+    safeguarded Newton iteration in log(theta), started at the best scan point
+    with the analytic derivative of the score, then refines the root: every
+    step shrinks the bracket by the sign of the score, and a step that would
+    leave the bracket (or meets a non-negative derivative) is replaced by the
+    bracket midpoint.  It stops once the Newton step or the bracket is at most
+    1e-13 in log(theta), or one float wide at extreme data scales.  When the
+    profile is still rising at the upper end of the scan the maximum does not
+    exist (theta diverging); the boundary fit is returned with ``converged``
+    set to 0.0 in the diagnostics rather than silently reporting an interior
+    optimum.
+
+    ``optimizer_iterations`` counts the score evaluations of the refinement,
+    one per Newton or bisection step; it is 0 when the scan alone decides the
+    fit (divergence, a profile already falling at the lower bracket end, or
+    one still rising at the upper end).
     """
     x = _clean_sample(excesses)
     if np.any(x < 0):
@@ -280,22 +302,32 @@ def estimate_gpd_mle(excesses) -> FitResult:
     lo = grid[i - 1] if i > 0 else theta_lo * 1e-6
     hi = grid[i + 1] if i < grid.size - 1 else theta_hi
     iters = 0
-    if _profile_slope(lo, x) <= 0.0:
+    if _profile_score(lo, x)[0] <= 0.0:
         # falling already at the lower bracket: the maximum sits at the shape
         # zero boundary (i == 0) or, anomalously, at the scan point itself
         theta = lo if i == 0 else float(grid[i])
-    elif _profile_slope(hi, x) >= 0.0:
+    elif _profile_score(hi, x)[0] >= 0.0:
         theta = float(grid[i])
     else:
         log_lo, log_hi = math.log(lo), math.log(hi)
-        while log_hi - log_lo > 1e-13:
-            mid = 0.5 * (log_lo + log_hi)
-            if _profile_slope(math.exp(mid), x) > 0.0:
-                log_lo = mid
-            else:
-                log_hi = mid
+        # a bracket one float wide cannot shrink any further; beyond
+        # |log(theta)| = 512 that width exceeds 1e-13
+        tol = max(1e-13, math.ulp(max(abs(log_lo), abs(log_hi))))
+        u = math.log(grid[i])
+        while log_hi - log_lo > tol:
+            g, dg = _profile_score(math.exp(u), x)
             iters += 1
-        theta = math.exp(0.5 * (log_lo + log_hi))
+            if g > 0.0:
+                log_lo = u
+            else:
+                log_hi = u
+            step = -g / dg if dg < 0.0 else math.nan
+            u += step
+            if abs(step) <= tol:
+                break
+            if not log_lo < u < log_hi:  # also rejects a NaN step
+                u = 0.5 * (log_lo + log_hi)
+        theta = math.exp(u)
     xi = float(np.mean(np.log1p(theta * x)))
     if xi == 0.0:
         raise EstimationError("GPD MLE produced a degenerate zero estimate")

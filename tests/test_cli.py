@@ -87,6 +87,13 @@ class TestEstimate:
         assert code == 2
         assert ":7:" in err and "abc" in err
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_line_reported_with_number(self, capsys, tmp_path, token):
+        path = write(tmp_path / "nf.dat", f"1.0\n2.0\n# note\n{token}\n5.0\n")
+        code, _, err = run(capsys, "estimate", "--data", path, "--method", "zs")
+        assert code == 2
+        assert f"{path}:4:" in err and "finite" in err
+
     def test_missing_file_is_data_error(self, capsys, tmp_path):
         code, _, err = run(capsys, "estimate", "--data", str(tmp_path / "nope"), "--method", "zs")
         assert code == 2
@@ -170,6 +177,15 @@ class TestQuantile:
         code, _, _ = run(capsys, "quantile", "--fit", path, "--p", "0.5")
         assert code == 2
 
+    def test_unknown_form_in_fit_file_is_data_error(self, capsys, tmp_path):
+        path = write(
+            tmp_path / "fit.json",
+            json.dumps({"mu_hat": 1.0, "sigma_hat": 1.0, "xi_hat": 0.5, "form": "bogus"}),
+        )
+        code, _, err = run(capsys, "quantile", "--fit", path, "--p", "0.5")
+        assert code == 2
+        assert path in err and "bogus" in err
+
 
 SCENARIO_CONFIG = """\
 # one small scenario
@@ -202,6 +218,17 @@ class TestSimulate:
         run(capsys, "simulate", "--config", config, "--out", out2, "--threads", "2")
         with open(out1, "rb") as f1, open(out2, "rb") as f2:
             assert f1.read() == f2.read()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_nonpositive_threads_is_usage_error(self, capsys, tmp_path, threads):
+        config = write(tmp_path / "run.cfg", SCENARIO_CONFIG)
+        out = tmp_path / "a.csv"
+        code, _, err = run(
+            capsys, "simulate", "--config", config, "--out", str(out), "--threads", threads
+        )
+        assert code == 1
+        assert "--threads" in err
+        assert not out.exists()
 
     def test_json_format(self, capsys, tmp_path):
         config = write(tmp_path / "run.cfg", SCENARIO_CONFIG)
