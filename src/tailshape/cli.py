@@ -33,15 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import GpdParams, gpd_quantile
-from .estimators import (
-    EstimationError,
-    EstimatorId,
-    FitResult,
-    estimate_gpd_mle,
-    estimate_pareto_ml,
-    estimate_pwm,
-    estimate_zhang_stephens,
-)
+from .estimators import EstimationError, EstimatorId, FitResult
 from .montecarlo import (
     DEFAULT_SEED,
     ExperimentSpec,
@@ -54,8 +46,8 @@ from .montecarlo import (
     summaries_document,
     table_specs,
 )
-from .pot import PotConfig, pot_estimate
-from .transform import TransformForm, TransformSpec, gpd_quantile_via_transform, iterate_transform
+from .pot import PotConfig, fit_all, pot_estimate
+from .transform import TransformForm, TransformSpec, gpd_quantile_via_transform
 
 __all__ = ["main"]
 
@@ -387,37 +379,27 @@ def _cmd_estimate(args) -> int:
     if args.k is not None:
         if not 1 <= args.k < data.size:
             raise UsageError(f"--k must satisfy 1 <= k < n = {data.size}")
-        result = pot_estimate(data, PotConfig(args.k, (estimator,)))
+        try:
+            result = pot_estimate(data, PotConfig(args.k, (estimator,)))
+        except ValueError as err:  # ties at the threshold leave < 2 exceedances
+            raise DataError(str(err)) from None
         extra = {"k": args.k, "threshold": result.threshold}
-        if estimator in result.failures:
-            raise EstimationError(result.failures[estimator])
-        fit = result.fits[estimator]
+        outcome = result.fits.get(estimator) or result.failures[estimator]
     elif estimator is EstimatorId.HILL:
         raise UsageError("--method hill needs an exceedance count --k")
-    elif estimator is EstimatorId.PARETO_ML:
-        fit = estimate_pareto_ml(data)
     else:
         # excess-over-minimum recipe: fit on the strictly positive excesses,
-        # transform (when asked) on the full sample
+        # Pareto ML and the transforms on the full sample
         mu_hat = float(data.min())
         z = data[data > mu_hat] - mu_hat
-        if z.size < 2:
-            raise DataError("need at least 2 observations above the smallest one")
-        extra = {"support_estimate": mu_hat}
-        if estimator is EstimatorId.ZHANG_STEPHENS:
-            fit = estimate_zhang_stephens(z)
-        elif estimator is EstimatorId.PWM:
-            fit = estimate_pwm(z)
-        elif estimator is EstimatorId.GPD_MLE:
-            fit = estimate_gpd_mle(z)
-        else:  # transformed estimators: initial fit on the excesses
-            base = (
-                estimate_zhang_stephens(z)
-                if estimator is EstimatorId.TRANSFORMED_ZS
-                else estimate_pwm(z)
-            )
-            fit = iterate_transform(data, base, mu_hat, rounds=0)
-    _print_fit(fit, data.size, extra, args.json)
+        if estimator is not EstimatorId.PARETO_ML:
+            if z.size < 2:
+                raise DataError("need at least 2 observations above the smallest one")
+            extra = {"support_estimate": mu_hat}
+        outcome = fit_all(data, mu_hat, z, (estimator,))[estimator]
+    if isinstance(outcome, str):
+        raise EstimationError(outcome)
+    _print_fit(outcome, data.size, extra, args.json)
     return EXIT_OK
 
 

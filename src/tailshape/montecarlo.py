@@ -8,10 +8,9 @@ deterministic for a fixed spec regardless of how replications are scheduled
 across worker processes.
 
 Scenarios without k follow the excess-over-minimum recipe: the smallest
-observation estimates the support bound, the estimators run on the strictly
-positive excesses over it and the transformed estimators re-use those fits to
-map the original observations to Pareto variables.  Scenarios with k delegate
-to :func:`tailshape.pot.pot_estimate`.
+observation estimates the support bound and :func:`tailshape.pot.fit_all`
+fits the strictly positive excesses over it (Pareto ML and the transforms the
+original observations).  Scenarios with k use :func:`tailshape.pot.pot_estimate`.
 
 Summaries report MSE, bias (true shape minus average estimate), relative
 efficiency against the asymptotic ML benchmark ``((1 + xi)^2 / n) / MSE`` and
@@ -20,8 +19,9 @@ replications are excluded from that estimator's summary only).
 
 The module also ships the benchmark grids ``table1`` .. ``table8`` (three GPD
 parameter families crossed with n in {50, 100, 250} and xi in {0.1, 0.25,
-0.5, 0.75, 1.0}; Student's t and symmetric stable POT scenarios with k = 100)
-together with layouts to render them as CSV or JSON documents.
+0.5, 0.75, 1.0}; Student's t and symmetric stable POT scenarios with k = 100),
+each one :class:`TableLayout` record from which :func:`table_specs` builds the
+specs and :func:`emit_table` renders CSV or JSON documents.
 """
 
 from __future__ import annotations
@@ -30,8 +30,9 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Union
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, ClassVar, Union
 
 import numpy as np
 
@@ -42,17 +43,8 @@ from .distributions import (
     sample_student_t,
     sample_symmetric_stable,
 )
-from .estimators import (
-    EstimationError,
-    EstimatorId,
-    FitResult,
-    estimate_gpd_mle,
-    estimate_pareto_ml,
-    estimate_pwm,
-    estimate_zhang_stephens,
-)
-from .pot import DEFAULT_POT_ESTIMATORS, PotConfig, pot_estimate
-from .transform import iterate_transform
+from .estimators import EstimatorId, FitResult
+from .pot import DEFAULT_POT_ESTIMATORS, PotConfig, fit_all, pot_estimate
 
 __all__ = [
     "DEFAULT_SEED",
@@ -95,6 +87,8 @@ DEFAULT_GPD_ESTIMATORS = (
 class GpdSource:
     """Three-parameter GPD sampling source."""
 
+    # the parameter a benchmark grid varies, reported as the CSV param_name
+    param_name: ClassVar[str] = "xi"
     params: GpdParams
 
     @property
@@ -117,6 +111,7 @@ class GpdSource:
 class GpdParetoSource:
     """GPD source with the scale tied to xi * mu, i.e. exactly Pareto data."""
 
+    param_name: ClassVar[str] = "xi"
     mu: float
     xi: float
 
@@ -139,6 +134,7 @@ class GpdParetoSource:
 class StudentTSource:
     """Standard Student's t source; the implied tail shape is 1/df."""
 
+    param_name: ClassVar[str] = "df"
     df: float
 
     @property
@@ -156,6 +152,7 @@ class StudentTSource:
 class StableSource:
     """Standard symmetric stable source; the implied tail shape is 1/index."""
 
+    param_name: ClassVar[str] = "index"
     index: float
 
     @property
@@ -196,6 +193,8 @@ class ExperimentSpec:
             raise ValueError(f"k must satisfy 1 <= k < n = {self.n}, got {self.k!r}")
         if self.estimators is not None and len(self.estimators) == 0:
             raise ValueError("estimator set must not be empty")
+        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
         if not isinstance(self.rounds, (int, np.integer)) or self.rounds < 0:
             raise ValueError(f"rounds must be a non-negative integer, got {self.rounds!r}")
         if self.k is None and EstimatorId.HILL in self.estimator_set:
@@ -273,81 +272,24 @@ def relative_efficiency(mse_value: float, true_xi: float, n: int) -> float:
     return benchmark / mse_value
 
 
-def _gpd_cell_estimates(x: np.ndarray, spec: ExperimentSpec) -> dict[EstimatorId, float]:
-    """One replication of the excess-over-minimum pipeline."""
-    wanted = spec.estimator_set
-    out: dict[EstimatorId, float] = {}
-    mu_hat = float(x.min())
-    z = x[x > mu_hat] - mu_hat  # strictly positive excesses over the minimum
-
-    def _transformed(initial: FitResult | None) -> float:
-        if initial is None:
-            return math.nan
-        try:
-            return iterate_transform(x, initial, mu_hat, spec.rounds).xi_hat
-        except (ValueError, EstimationError):
-            return math.nan
-
-    base_fits: dict[EstimatorId, FitResult | None] = {}
-    for base_id, fitter in (
-        (EstimatorId.ZHANG_STEPHENS, estimate_zhang_stephens),
-        (EstimatorId.PWM, estimate_pwm),
-    ):
-        transformed_id = (
-            EstimatorId.TRANSFORMED_ZS
-            if base_id is EstimatorId.ZHANG_STEPHENS
-            else EstimatorId.TRANSFORMED_PWM
-        )
-        if base_id in wanted or transformed_id in wanted:
-            try:
-                base_fits[base_id] = fitter(z)
-            except (ValueError, EstimationError):
-                base_fits[base_id] = None
-        if base_id in wanted:
-            fit = base_fits[base_id]
-            out[base_id] = fit.xi_hat if fit is not None else math.nan
-        if transformed_id in wanted:
-            out[transformed_id] = _transformed(base_fits.get(base_id))
-
-    if EstimatorId.GPD_MLE in wanted:
-        try:
-            fit = estimate_gpd_mle(z)
-            out[EstimatorId.GPD_MLE] = (
-                fit.xi_hat if fit.diagnostics.get("converged", 1.0) else math.nan
-            )
-        except (ValueError, EstimationError):
-            out[EstimatorId.GPD_MLE] = math.nan
-    if EstimatorId.PARETO_ML in wanted:
-        try:
-            out[EstimatorId.PARETO_ML] = estimate_pareto_ml(x).xi_hat
-        except (ValueError, EstimationError):
-            out[EstimatorId.PARETO_ML] = math.nan
-    return out
-
-
-def _pot_cell_estimates(x: np.ndarray, spec: ExperimentSpec) -> dict[EstimatorId, float]:
-    """One replication of the peaks-over-threshold pipeline."""
-    out = {est: math.nan for est in spec.estimator_set}
-    try:
-        result = pot_estimate(
-            x, PotConfig(spec.k, spec.estimator_set, fold_absolute=spec.fold_absolute)
-        )
-    except ValueError:
-        return out
-    for est, fit in result.fits.items():
-        if fit.diagnostics.get("converged", 1.0):
-            out[est] = fit.xi_hat
-    return out
-
-
 def _replicate_range(spec: ExperimentSpec, start: int, stop: int) -> dict[EstimatorId, np.ndarray]:
     """Estimates for replications [start, stop); slot r uses stream (seed, r)."""
     slots = {est: np.full(stop - start, np.nan) for est in spec.estimator_set}
-    pipeline = _pot_cell_estimates if spec.k is not None else _gpd_cell_estimates
+    if spec.k is not None:
+        cfg = PotConfig(spec.k, spec.estimator_set, fold_absolute=spec.fold_absolute)
     for offset, r in enumerate(range(start, stop)):
         x = spec.source.sample(spec.n, RngStream(spec.seed, r))
-        for est, value in pipeline(x, spec).items():
-            slots[est][offset] = value
+        if spec.k is None:
+            mu_hat = float(x.min())
+            fits = fit_all(x, mu_hat, x[x > mu_hat] - mu_hat, spec.estimator_set, spec.rounds)
+        else:
+            try:
+                fits = pot_estimate(x, cfg).fits
+            except ValueError:  # fewer than 2 exceedances: every estimate fails
+                continue
+        for est, fit in fits.items():
+            if isinstance(fit, FitResult) and fit.diagnostics.get("converged", 1.0):
+                slots[est][offset] = fit.xi_hat
     return slots
 
 
@@ -386,13 +328,12 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ReplicationSu
     """
     if not isinstance(workers, (int, np.integer)) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    slots = {est: np.full(spec.m, np.nan) for est in spec.estimator_set}
     if workers == 1 or spec.m < 4:
-        merged = _replicate_range(spec, 0, spec.m)
-        for est, values in merged.items():
-            slots[est][:] = values
+        slots = _replicate_range(spec, 0, spec.m)
     else:
         from concurrent.futures import ProcessPoolExecutor
+
+        slots = {est: np.full(spec.m, np.nan) for est in spec.estimator_set}
 
         bounds = np.linspace(0, spec.m, min(workers * 4, spec.m) + 1, dtype=int)
         ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
@@ -422,109 +363,90 @@ POT_GRID_DF = (1.0, 2.0, 3.0, 4.0, 5.0)
 POT_GRID_INDEX = (1.9, 1.7, 1.5, 1.3, 1.0)
 POT_GRID_K = 100
 
+
+@dataclass(frozen=True)
+class TableLayout:
+    """One benchmark table: source family, grid, seed offset, statistics and k.
+
+    Cell ``(n, value)`` samples ``source(value)``; cell i in ``cells`` order
+    draws from seed ``base seed + seed_offset + i``.  Tables with k run the
+    POT estimators on absolute values, the others the excess-over-minimum ones.
+    """
+
+    name: str
+    source: Callable[[float], Source]
+    ns: tuple[int, ...]
+    values: tuple[float, ...]
+    seed_offset: int
+    stats: tuple[str, ...]
+    k: int | None = None
+
+    @property
+    def cells(self) -> tuple[tuple[int, float], ...]:
+        """(n, parameter value) pairs, sample size major."""
+        return tuple((n, value) for n in self.ns for value in self.values)
+
+    @property
+    def estimators(self) -> tuple[EstimatorId, ...]:
+        return DEFAULT_GPD_ESTIMATORS if self.k is None else DEFAULT_POT_ESTIMATORS
+
+
+def _gpd(sigma: float) -> Callable[[float], Source]:
+    """GPD cell sources with mu = 1 and scale ``sigma``, keyed by xi."""
+    return lambda xi: GpdSource(GpdParams(1.0, sigma, xi))
+
+
+_pareto = partial(GpdParetoSource, 1.0)  # pure-Pareto cells, mu = 1
+
 # table2/4/6 are relative-efficiency views over the same runs as 1/3/5, so
-# they share grids and seeds
-_TABLE_BASE = {
-    "table1": "table1",
-    "table2": "table1",
-    "table3": "table3",
-    "table4": "table3",
-    "table5": "table5",
-    "table6": "table5",
-    "table7": "table7",
-    "table8": "table8",
+# they share grids and seed offsets.  The offsets give each table its own
+# stream family; they were calibrated once so the default-seed runs land
+# within the shipped reference values at the documented tolerances.
+TABLE_LAYOUTS: dict[str, TableLayout] = {
+    layout.name: layout
+    for layout in (
+        TableLayout("table1", _gpd(1.0), GPD_GRID_N, GPD_GRID_XI, 100000, ("mse", "bias")),
+        TableLayout("table2", _gpd(1.0), GPD_GRID_N, GPD_GRID_XI, 100000, ("rel_eff",)),
+        TableLayout("table3", _gpd(2.0), GPD_GRID_N, GPD_GRID_XI, 300000, ("mse", "bias")),
+        TableLayout("table4", _gpd(2.0), GPD_GRID_N, GPD_GRID_XI, 300000, ("rel_eff",)),
+        TableLayout("table5", _pareto, GPD_GRID_N, GPD_GRID_XI, 500000, ("mse", "bias")),
+        TableLayout("table6", _pareto, GPD_GRID_N, GPD_GRID_XI, 500000, ("rel_eff",)),
+        TableLayout(
+            "table7", StudentTSource, POT_GRID_N, POT_GRID_DF, 702000, ("bias", "mse"), POT_GRID_K
+        ),
+        TableLayout(
+            "table8", StableSource, POT_GRID_N, POT_GRID_INDEX, 800000, ("bias", "mse"), POT_GRID_K
+        ),
+    )
 }
-# per-table stream-family offsets; calibrated once so the default-seed runs
-# land within the shipped reference values at the documented tolerances
-_TABLE_SEED_OFFSET = {
-    "table1": 100000,
-    "table3": 300000,
-    "table5": 500000,
-    "table7": 702000,
-    "table8": 800000,
-}
-
-
-def _gpd_cell_source(base: str, xi: float) -> Source:
-    if base == "table1":
-        return GpdSource(GpdParams(1.0, 1.0, xi))
-    if base == "table3":
-        return GpdSource(GpdParams(1.0, 2.0, xi))
-    return GpdParetoSource(1.0, xi)
 
 
 def table_specs(table: str, seed: int = DEFAULT_SEED, m: int = 1000) -> list[ExperimentSpec]:
     """Scenario grid behind one of the built-in benchmark tables.
 
-    Cell seeds derive from ``seed`` plus a per-table offset and the cell
+    Cell seeds derive from ``seed`` plus the table's seed offset and the cell
     index, so every cell owns an independent stream family while remaining a
     pure function of the base seed.
     """
-    base = _TABLE_BASE.get(table)
-    if base is None:
+    layout = TABLE_LAYOUTS.get(table)
+    if layout is None:
         raise ValueError(f"unknown table {table!r}; expected table1 .. table8")
-    offset = _TABLE_SEED_OFFSET[base]
-    specs = []
-    if base in ("table1", "table3", "table5"):
-        for i, n in enumerate(GPD_GRID_N):
-            for j, xi in enumerate(GPD_GRID_XI):
-                cell_seed = seed + offset + i * len(GPD_GRID_XI) + j
-                specs.append(
-                    ExperimentSpec(_gpd_cell_source(base, xi), n=n, m=m, seed=cell_seed)
-                )
-    else:
-        # the symmetric sources are folded by absolute value, so the threshold
-        # sits at the 90th percentile of |X|; this is what the shipped
-        # reference tables assume
-        params = POT_GRID_DF if base == "table7" else POT_GRID_INDEX
-        for i, n in enumerate(POT_GRID_N):
-            for j, value in enumerate(params):
-                cell_seed = seed + offset + i * len(params) + j
-                source = StudentTSource(value) if base == "table7" else StableSource(value)
-                specs.append(
-                    ExperimentSpec(
-                        source, n=n, m=m, k=POT_GRID_K, seed=cell_seed, fold_absolute=True
-                    )
-                )
-    return specs
-
-
-@dataclass(frozen=True)
-class TableLayout:
-    """Shape of one benchmark table: grid cells, estimators and statistics."""
-
-    name: str
-    source_kind: str
-    param_name: str
-    cells: tuple[tuple[int, float], ...]  # (n, parameter value)
-    estimators: tuple[EstimatorId, ...]
-    stats: tuple[str, ...]
-    k: int | None = None
-    fixed: tuple[tuple[str, float], ...] = ()
-
-
-def _gpd_layout(name: str, kind: str, stats: tuple[str, ...], fixed=()) -> TableLayout:
-    cells = tuple((n, xi) for n in GPD_GRID_N for xi in GPD_GRID_XI)
-    return TableLayout(name, kind, "xi", cells, DEFAULT_GPD_ESTIMATORS, stats, None, tuple(fixed))
-
-
-def _pot_layout(name: str, kind: str, param: str, values) -> TableLayout:
-    cells = tuple((n, v) for n in POT_GRID_N for v in values)
-    return TableLayout(
-        name, kind, param, cells, DEFAULT_POT_ESTIMATORS, ("bias", "mse"), POT_GRID_K
-    )
-
-
-TABLE_LAYOUTS: dict[str, TableLayout] = {
-    "table1": _gpd_layout("table1", "gpd", ("mse", "bias"), (("mu", 1.0), ("sigma", 1.0))),
-    "table2": _gpd_layout("table2", "gpd", ("rel_eff",), (("mu", 1.0), ("sigma", 1.0))),
-    "table3": _gpd_layout("table3", "gpd", ("mse", "bias"), (("mu", 1.0), ("sigma", 2.0))),
-    "table4": _gpd_layout("table4", "gpd", ("rel_eff",), (("mu", 1.0), ("sigma", 2.0))),
-    "table5": _gpd_layout("table5", "gpd_pareto", ("mse", "bias"), (("mu", 1.0),)),
-    "table6": _gpd_layout("table6", "gpd_pareto", ("rel_eff",), (("mu", 1.0),)),
-    "table7": _pot_layout("table7", "student_t", "df", POT_GRID_DF),
-    "table8": _pot_layout("table8", "stable", "index", POT_GRID_INDEX),
-}
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {seed!r}")
+    # the symmetric POT sources are folded by absolute value, so the threshold
+    # sits at the 90th percentile of |X|; this is what the shipped reference
+    # tables assume
+    return [
+        ExperimentSpec(
+            layout.source(value),
+            n=n,
+            m=m,
+            k=layout.k,
+            seed=seed + layout.seed_offset + index,
+            fold_absolute=layout.k is not None,
+        )
+        for index, (n, value) in enumerate(layout.cells)
+    ]
 
 
 class MissingCellError(ValueError):
@@ -561,9 +483,10 @@ class TableDocument:
         return json.dumps({"table": self.name, "columns": self.columns, "rows": self.rows})
 
 
-def _result_rows(result: ExperimentResult, table: str, param_name: str, stats) -> list[dict]:
+def _result_rows(result: ExperimentResult, table: str, stats) -> list[dict]:
     spec = result.spec
     desc = spec.source.descriptor()
+    param_name = spec.source.param_name
     rows = []
     for summary in result.summaries:
         row = {
@@ -572,7 +495,7 @@ def _result_rows(result: ExperimentResult, table: str, param_name: str, stats) -
             "n": int(spec.n),
             "k": None if spec.k is None else int(spec.k),
             "param_name": param_name,
-            "param_value": float(desc.get(param_name, spec.true_xi)),
+            "param_value": float(desc[param_name]),
             "estimator": summary.estimator.value,
             "seed": int(spec.seed),
         }
@@ -589,51 +512,37 @@ def _result_rows(result: ExperimentResult, table: str, param_name: str, stats) -
 def emit_table(results, layout: TableLayout | str) -> TableDocument:
     """Render results into the given layout, checking grid completeness.
 
-    Results are matched to layout cells on source kind, fixed source fields,
-    n, k and the grid parameter; a :class:`MissingCellError` lists any absent
-    cells.  Rows follow the layout's cell order with one row per estimator.
+    A result fills cell ``(n, value)`` when its spec has that n, the layout's
+    k and a source equal to ``layout.source(value)``.  A
+    :class:`MissingCellError` lists any absent cells.  Rows follow the
+    layout's cell order with one row per layout estimator.
     """
     if isinstance(layout, str):
         try:
             layout = TABLE_LAYOUTS[layout]
         except KeyError:
             raise ValueError(f"unknown table layout {layout!r}") from None
-    by_cell: dict[tuple[int, float], ExperimentResult] = {}
-    for result in results:
-        desc = result.spec.source.descriptor()
-        if desc["source"] != layout.source_kind or result.spec.k != layout.k:
-            continue
-        if any(desc.get(key) != value for key, value in layout.fixed):
-            continue
-        param = desc.get(layout.param_name)
-        if param is None:
-            continue
-        by_cell[(result.spec.n, param)] = result
-
-    missing = [cell for cell in layout.cells if cell not in by_cell]
+    by_cell = {(r.spec.n, r.spec.k, r.spec.source): r for r in results}
+    keys = {(n, value): (n, layout.k, layout.source(value)) for n, value in layout.cells}
+    missing = [cell for cell, key in keys.items() if key not in by_cell]
     if missing:
         raise MissingCellError(layout.name, missing)
 
     columns = list(_BASE_COLUMNS) + list(layout.stats) + list(_TRAIL_COLUMNS)
-    rows = []
-    for cell in layout.cells:
-        result = by_cell[cell]
-        for row in _result_rows(result, layout.name, layout.param_name, layout.stats):
-            if row["estimator"] in {e.value for e in layout.estimators}:
-                rows.append(row)
+    wanted = {e.value for e in layout.estimators}
+    rows = [
+        row
+        for key in keys.values()
+        for row in _result_rows(by_cell[key], layout.name, layout.stats)
+        if row["estimator"] in wanted
+    ]
     return TableDocument(layout.name, columns, rows)
 
 
 def summaries_document(results, name: str = "custom") -> TableDocument:
     """Layout-free rendering carrying every summary statistic."""
     columns = list(_BASE_COLUMNS) + list(_ALL_STATS) + list(_TRAIL_COLUMNS)
-    rows = []
-    for result in results:
-        desc = result.spec.source.descriptor()
-        param_name = {"gpd": "xi", "gpd_pareto": "xi", "student_t": "df", "stable": "index"}[
-            desc["source"]
-        ]
-        rows.extend(_result_rows(result, name, param_name, _ALL_STATS))
+    rows = [row for result in results for row in _result_rows(result, name, _ALL_STATS)]
     return TableDocument(name, columns, rows)
 
 

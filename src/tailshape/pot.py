@@ -1,13 +1,14 @@
-"""Peaks-over-threshold estimation pipeline.
+"""Estimator plan and peaks-over-threshold estimation pipeline.
 
-The threshold is the (n-k)-th order statistic, so exactly the k largest
-observations exceed it (ties at the threshold count as non-exceedances).
-Excess-based estimators run on the k strictly positive excesses; the Hill
-estimator runs on the raw sample with the same k; the transformed estimate
-reuses the Zhang-Stephens fit on the excesses with the smallest excess as the
-support estimate.  Only the upper tail is used; observations are never folded
-by absolute value (symmetric sources contribute through their largest values
-only) unless ``fold_absolute`` is requested explicitly.
+:func:`fit_all` runs every estimator set in the package, sharing one initial
+fit between a transformed estimator and its plain counterpart.  In the POT
+pipeline the threshold is the (n-k)-th order statistic, so exactly the k
+largest observations exceed it (ties at the threshold count as
+non-exceedances).  The plan runs on the k strictly positive excesses with the
+smallest excess as the support estimate; the Hill estimator runs on the raw
+sample with the same k.  Only the upper tail is used; observations are never
+folded by absolute value (symmetric sources contribute through their largest
+values only) unless ``fold_absolute`` is requested explicitly.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .estimators import (
     estimate_pwm,
     estimate_zhang_stephens,
 )
-from .transform import transformed_shape_estimate
+from .transform import iterate_transform
 
 __all__ = [
     "DEFAULT_POT_ESTIMATORS",
@@ -34,6 +35,7 @@ __all__ = [
     "PotResult",
     "select_threshold",
     "excesses",
+    "fit_all",
     "pot_estimate",
 ]
 
@@ -90,11 +92,58 @@ def excesses(x, threshold: float) -> np.ndarray:
     return exc
 
 
+# transformed estimator -> its initial estimator and that one's name in messages
+_INITIAL = {
+    EstimatorId.TRANSFORMED_ZS: (EstimatorId.ZHANG_STEPHENS, "Zhang-Stephens"),
+    EstimatorId.TRANSFORMED_PWM: (EstimatorId.PWM, "PWM"),
+}
+
+
+def _attempt(fitter, *args) -> FitResult | str:
+    """The fit, or the message of the estimation error that stopped it."""
+    try:
+        return fitter(*args)
+    except (ValueError, EstimationError) as err:
+        return str(err)
+
+
+def fit_all(x, support: float, exc, wanted, rounds: int = 0) -> dict[EstimatorId, FitResult | str]:
+    """Fit each wanted estimator once; failures map to their messages.
+
+    Zhang-Stephens, PWM and GPD ML fit the excesses ``exc`` (GPD ML even when
+    not converged), Pareto ML fits ``x``.  A transformed estimator runs
+    :func:`iterate_transform` on ``x`` with the support estimate ``support``,
+    reusing the one Zhang-Stephens or PWM fit of the call.  Hill needs
+    :func:`pot_estimate`.
+    """
+    if EstimatorId.HILL in wanted:
+        raise ValueError("the Hill estimator needs the raw sample and k; use pot_estimate")
+    # built per call, so the estimators are looked up by their module-level names
+    direct = {
+        EstimatorId.ZHANG_STEPHENS: (estimate_zhang_stephens, exc),
+        EstimatorId.PWM: (estimate_pwm, exc),
+        EstimatorId.GPD_MLE: (estimate_gpd_mle, exc),
+        EstimatorId.PARETO_ML: (estimate_pareto_ml, x),
+    }
+    fits: dict[EstimatorId, FitResult | str] = {}
+    for estimator in dict.fromkeys(wanted):
+        base, name = _INITIAL.get(estimator, (estimator, ""))
+        if base not in fits:
+            fits[base] = _attempt(*direct[base])
+        if base is estimator:
+            continue
+        if isinstance(fits[base], str):
+            fits[estimator] = f"initial {name} fit failed: {fits[base]}"
+        else:
+            fits[estimator] = _attempt(iterate_transform, x, fits[base], support, rounds)
+    return {estimator: fits[estimator] for estimator in wanted}
+
+
 def pot_estimate(x, cfg: PotConfig) -> PotResult:
     """Run the configured estimator set above the k-largest threshold.
 
-    Estimator failures are recorded per estimator in ``failures`` without
-    aborting the others.
+    Hill runs here and the rest through :func:`fit_all`, with no refresh
+    rounds; failures are recorded per estimator in ``failures``.
     """
     arr = np.asarray(x, dtype=float).ravel()
     if cfg.fold_absolute:
@@ -103,53 +152,15 @@ def pot_estimate(x, cfg: PotConfig) -> PotResult:
     exc = excesses(arr, threshold)
     result = PotResult(threshold=threshold, excess_count=int(exc.size))
 
-    wanted = list(dict.fromkeys(cfg.estimators))
-    needs_zs = EstimatorId.TRANSFORMED_ZS in wanted or EstimatorId.ZHANG_STEPHENS in wanted
-    needs_pwm = EstimatorId.TRANSFORMED_PWM in wanted or EstimatorId.PWM in wanted
-
-    zs_fit = pwm_fit = None
-    zs_error = pwm_error = None
-    if needs_zs:
-        try:
-            zs_fit = estimate_zhang_stephens(exc)
-        except (ValueError, EstimationError) as err:
-            zs_error = str(err)
-    if needs_pwm:
-        try:
-            pwm_fit = estimate_pwm(exc)
-        except (ValueError, EstimationError) as err:
-            pwm_error = str(err)
-
+    wanted = tuple(dict.fromkeys(cfg.estimators))
+    plan = [e for e in wanted if e is not EstimatorId.HILL]
+    outcomes = fit_all(exc, float(exc.min()), exc, plan)
+    if EstimatorId.HILL in wanted:
+        outcomes[EstimatorId.HILL] = _attempt(estimate_hill, arr, cfg.k)
     for estimator in wanted:
-        try:
-            if estimator is EstimatorId.ZHANG_STEPHENS:
-                if zs_fit is None:
-                    raise EstimationError(zs_error or "Zhang-Stephens fit unavailable")
-                fit = zs_fit
-            elif estimator is EstimatorId.PWM:
-                if pwm_fit is None:
-                    raise EstimationError(pwm_error or "PWM fit unavailable")
-                fit = pwm_fit
-            elif estimator is EstimatorId.GPD_MLE:
-                fit = estimate_gpd_mle(exc)
-            elif estimator is EstimatorId.HILL:
-                fit = estimate_hill(arr, cfg.k)
-            elif estimator is EstimatorId.PARETO_ML:
-                fit = estimate_pareto_ml(exc)
-            elif estimator is EstimatorId.TRANSFORMED_ZS:
-                if zs_fit is None:
-                    raise EstimationError(
-                        f"initial Zhang-Stephens fit failed: {zs_error or 'unavailable'}"
-                    )
-                fit = transformed_shape_estimate(exc, zs_fit, float(exc.min()))
-            elif estimator is EstimatorId.TRANSFORMED_PWM:
-                if pwm_fit is None:
-                    raise EstimationError(f"initial PWM fit failed: {pwm_error or 'unavailable'}")
-                fit = transformed_shape_estimate(exc, pwm_fit, float(exc.min()))
-            else:
-                raise ValueError(f"estimator {estimator!r} is not supported in a POT pipeline")
-        except (ValueError, EstimationError) as err:
-            result.failures[estimator] = str(err)
+        outcome = outcomes[estimator]
+        if isinstance(outcome, str):
+            result.failures[estimator] = outcome
         else:
-            result.fits[estimator] = fit
+            result.fits[estimator] = outcome
     return result

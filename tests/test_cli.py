@@ -98,6 +98,14 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--data", str(tmp_path / "nope"), "--method", "zs")
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["zs", "hill", "transformed-zs"])
+    def test_too_few_exceedances_is_data_error(self, capsys, tmp_path, method):
+        # ties at the threshold leave no exceedance; same exit code as without --k
+        path = write(tmp_path / "ties.dat", "2\n2\n2\n")
+        code, _, err = run(capsys, "estimate", "--data", path, "--method", method, "--k", "2")
+        assert code == 2
+        assert "exceedances" in err
+
     def test_numerical_failure_exit_code(self, capsys, tmp_path):
         path = write(tmp_path / "neg.dat", "-1.0\n2.0\n3.0\n")
         code, _, err = run(capsys, "estimate", "--data", path, "--method", "pareto-ml")
@@ -282,6 +290,33 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path / "x"))
         assert code == 1
         assert "table19" in err
+
+    def test_negative_seed_override_is_config_error(self, capsys, tmp_path, monkeypatch):
+        ran = []
+        monkeypatch.setattr("tailshape.cli.run_experiments", lambda *a, **kw: ran.append(a))
+        config = write(tmp_path / "run.cfg", SCENARIO_CONFIG)
+        out = tmp_path / "a.csv"
+        code, _, err = run(
+            capsys, "simulate", "--config", config, "--out", str(out), "--seed", "-1"
+        )
+        assert code == 1
+        assert f"{config}:" in err and "seed" in err
+        assert ran == [] and not out.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64 - 1])
+    def test_table_seed_out_of_range_is_config_error(self, capsys, tmp_path, monkeypatch, seed):
+        # -1 plus the per-table offset would be a valid stream key, and the
+        # offset pushes 2**64 - 1 past the range; the error names the [table]
+        # line before the scenario above it runs
+        ran = []
+        monkeypatch.setattr("tailshape.cli.run_experiments", lambda *a, **kw: ran.append(a))
+        text = SCENARIO_CONFIG + f"[table]\nname = table1\nseed = {seed}\n"
+        config = write(tmp_path / "run.cfg", text)
+        table_line = text.splitlines().index("[table]") + 1
+        code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert f"{config}:{table_line}:" in err and "seed" in err
+        assert ran == []
 
     def test_seed_override_changes_results(self, capsys, tmp_path):
         config = write(tmp_path / "run.cfg", SCENARIO_CONFIG)

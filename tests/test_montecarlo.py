@@ -1,12 +1,16 @@
 """Tests for the replication engine, metrics and table documents."""
 
+import csv
+import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from tailshape import (
+    DEFAULT_SEED,
     EstimatorId,
     ExperimentSpec,
     GpdParams,
@@ -259,3 +263,79 @@ class TestTableDocuments:
         )
         heuristic = summary.mse * math.sqrt(2.0 / 400)
         assert 0.5 * heuristic < summary.mc_se_mse < 2.0 * heuristic
+
+
+# ---------------------------------------------------------------------------
+# Registry pin: table1..table8 grids and CSVs at the default seed
+# ---------------------------------------------------------------------------
+
+TABLE_PIN_PATH = Path(__file__).with_name("table_pin.json")
+TABLE_PIN_M = 4
+TABLE_NAMES = tuple(f"table{i}" for i in range(1, 9))
+
+
+def _spec_record(spec):
+    return [spec.source.descriptor(), spec.n, spec.k, spec.seed, spec.fold_absolute]
+
+
+def record_table_pin():
+    """Grid and CSV of every built-in table at DEFAULT_SEED and m = TABLE_PIN_M."""
+    pin = {}
+    for name in TABLE_NAMES:
+        specs = table_specs(name, seed=DEFAULT_SEED, m=TABLE_PIN_M)
+        pin[name] = {
+            "specs": [_spec_record(s) for s in specs],
+            "csv": emit_table(run_experiments(specs), name).to_csv(),
+        }
+    return pin
+
+
+def _assert_csv_close(actual: str, expected: str):
+    got = list(csv.reader(io.StringIO(actual)))
+    want = list(csv.reader(io.StringIO(expected)))
+    assert got[0] == want[0]
+    assert len(got) == len(want)
+    for got_row, want_row in zip(got[1:], want[1:]):
+        assert len(got_row) == len(want_row)
+        for column, a, b in zip(want[0], got_row, want_row):
+            try:
+                fa, fb = float(a), float(b)
+            except ValueError:
+                assert a == b, column
+                continue
+            if math.isnan(fb):
+                assert math.isnan(fa), column
+            else:
+                assert math.isclose(fa, fb, rel_tol=1e-9, abs_tol=0.0), (column, a, b)
+
+
+@pytest.fixture(scope="module")
+def table_pin():
+    return json.loads(TABLE_PIN_PATH.read_text(encoding="utf-8"))
+
+
+@pytest.fixture(scope="module")
+def table_pin_actual():
+    return record_table_pin()
+
+
+class TestTableRegistryPin:
+    """Every built-in table keeps its grid, seeds, labels and numbers.
+
+    The pin was recorded with ``python tests/test_montecarlo.py`` (with ``src``
+    on the path); numbers are compared to a relative 1e-9 because SIMD
+    ``log1p`` may differ in the last bit between CPUs.
+    """
+
+    @pytest.mark.parametrize("name", TABLE_NAMES)
+    def test_spec_grid(self, table_pin, name):
+        specs = table_specs(name, seed=DEFAULT_SEED, m=TABLE_PIN_M)
+        assert json.loads(json.dumps([_spec_record(s) for s in specs])) == table_pin[name]["specs"]
+
+    @pytest.mark.parametrize("name", TABLE_NAMES)
+    def test_emitted_csv(self, table_pin, table_pin_actual, name):
+        _assert_csv_close(table_pin_actual[name]["csv"], table_pin[name]["csv"])
+
+
+if __name__ == "__main__":
+    TABLE_PIN_PATH.write_text(json.dumps(record_table_pin(), indent=1) + "\n", encoding="utf-8")

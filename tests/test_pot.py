@@ -2,15 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import tailshape.pot
 from tailshape import (
     EstimatorId,
+    FitResult,
     GpdParams,
     ParetoParams,
     PotConfig,
     RngStream,
     estimate_pareto_ml,
     excesses,
+    fit_all,
     pot_estimate,
     sample_gpd,
     sample_pareto,
@@ -135,3 +140,115 @@ class TestPotEstimate:
             PotConfig(0)
         with pytest.raises(ValueError):
             PotConfig(10, ())
+
+
+positive_samples = st.lists(
+    st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False),
+    min_size=3,
+    max_size=60,
+)
+# distinct values at least 1e-3 apart: near ties (excesses a few ulps wide)
+# make the transformed fits ill-conditioned, so no float tolerance holds there
+separated_samples = st.lists(
+    st.integers(min_value=1, max_value=10**6), min_size=3, max_size=60, unique=True
+).map(lambda values: np.array(values, dtype=float) / 1000.0)
+PLAN_ESTIMATORS = (
+    EstimatorId.ZHANG_STEPHENS,
+    EstimatorId.PWM,
+    EstimatorId.GPD_MLE,
+    EstimatorId.PARETO_ML,
+    EstimatorId.TRANSFORMED_ZS,
+    EstimatorId.TRANSFORMED_PWM,
+)
+# the estimators that are invariant to the sample's order and scale
+INVARIANT_ESTIMATORS = (
+    EstimatorId.ZHANG_STEPHENS,
+    EstimatorId.PWM,
+    EstimatorId.PARETO_ML,
+    EstimatorId.TRANSFORMED_ZS,
+    EstimatorId.TRANSFORMED_PWM,
+)
+
+
+def _over_minimum(values):
+    """fit_all arguments of the excess-over-minimum recipe."""
+    x = np.asarray(values, dtype=float)
+    support = float(x.min())
+    return x, support, x[x > support] - support
+
+
+def _xi_or_message(outcome):
+    return outcome.xi_hat if isinstance(outcome, FitResult) else outcome
+
+
+def _assert_same_shapes(a, b):
+    """Both plans fail or fit each estimator, fitted shapes agreeing to 1e-9."""
+    for estimator in INVARIANT_ESTIMATORS:
+        assert isinstance(a[estimator], FitResult) == isinstance(b[estimator], FitResult)
+        if isinstance(a[estimator], FitResult):
+            assert b[estimator].xi_hat == pytest.approx(a[estimator].xi_hat, rel=1e-9)
+
+
+class TestFitAll:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        positive_samples,
+        st.lists(st.sampled_from(PLAN_ESTIMATORS), min_size=1, max_size=8),
+        st.integers(min_value=0, max_value=2),
+    )
+    def test_subset_equals_estimators_alone(self, values, wanted, rounds):
+        # sharing one initial fit between estimators must not change any of them
+        x, support, exc = _over_minimum(values)
+        together = fit_all(x, support, exc, wanted, rounds)
+        assert set(together) == set(wanted)
+        for estimator in wanted:
+            alone = fit_all(x, support, exc, (estimator,), rounds)[estimator]
+            assert _xi_or_message(together[estimator]) == _xi_or_message(alone)
+
+    @settings(max_examples=150, deadline=None)
+    @given(positive_samples, st.randoms(use_true_random=False))
+    def test_permutation_invariance(self, values, rnd):
+        shuffled = list(values)
+        rnd.shuffle(shuffled)
+        _assert_same_shapes(
+            fit_all(*_over_minimum(values), INVARIANT_ESTIMATORS),
+            fit_all(*_over_minimum(shuffled), INVARIANT_ESTIMATORS),
+        )
+
+    @settings(max_examples=150, deadline=None)
+    @given(separated_samples, st.floats(min_value=1e-3, max_value=1e3))
+    def test_scale_equivariance(self, values, scale):
+        # the arguments are scaled after the excesses are formed, since
+        # subtracting the scaled minimum adds a rounding error of its own
+        x, support, exc = _over_minimum(values)
+        _assert_same_shapes(
+            fit_all(x, support, exc, INVARIANT_ESTIMATORS),
+            fit_all(x * scale, support * scale, exc * scale, INVARIANT_ESTIMATORS),
+        )
+
+    def test_initial_fit_computed_once(self, monkeypatch):
+        calls = []
+        original = tailshape.pot.estimate_zhang_stephens
+        monkeypatch.setattr(
+            tailshape.pot,
+            "estimate_zhang_stephens",
+            lambda exc: calls.append(exc) or original(exc),
+        )
+        x, support, exc = _over_minimum(sample_gpd(GpdParams(1.0, 1.0, 0.5), 200, RngStream(60, 0)))
+        out = fit_all(x, support, exc, (EstimatorId.TRANSFORMED_ZS, EstimatorId.ZHANG_STEPHENS))
+        assert len(calls) == 1
+        assert out[EstimatorId.TRANSFORMED_ZS].diagnostics["initial_xi"] == (
+            out[EstimatorId.ZHANG_STEPHENS].xi_hat
+        )
+
+    def test_failures_are_messages(self):
+        # all-zero excesses defeat both initial fits
+        x = np.array([1.0, 2.0, 3.0])
+        out = fit_all(x, 1.0, np.zeros(3), PLAN_ESTIMATORS)
+        assert out[EstimatorId.TRANSFORMED_ZS].startswith("initial Zhang-Stephens fit failed: ")
+        assert out[EstimatorId.TRANSFORMED_PWM].startswith("initial PWM fit failed: ")
+        assert isinstance(out[EstimatorId.PARETO_ML], FitResult)
+
+    def test_hill_needs_pot_estimate(self):
+        with pytest.raises(ValueError, match="pot_estimate"):
+            fit_all(np.array([1.0, 2.0, 3.0]), 1.0, np.array([1.0, 2.0]), (EstimatorId.HILL,))
