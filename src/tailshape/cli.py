@@ -443,7 +443,17 @@ def _load_fit_file(path: str) -> tuple[TransformSpec, float]:
         spec = TransformSpec(mu_hat, sigma_hat, xi_hat, form)
     except ValueError as err:
         raise DataError(f"{path}: {err}") from None
-    return spec, float(alpha)
+    if xi_hat <= 0:
+        raise DataError(
+            f"{path}: quantile back-transformation needs a positive xi_hat, got {xi_hat}"
+        )
+    try:
+        alpha = float(alpha)
+    except (TypeError, ValueError):
+        raise DataError(f"{path}: alpha_transformed must be a number, got {alpha!r}") from None
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise DataError(f"{path}: alpha_transformed must be a positive real, got {alpha}")
+    return spec, alpha
 
 
 def _cmd_quantile(args) -> int:

@@ -16,6 +16,15 @@ Five estimators are provided:
 
 All estimators are pure functions of their input sample and are safe to call
 concurrently.
+
+Pareto ML, PWM and Zhang-Stephens each have one numerical implementation, a
+private row kernel that fits a 2-D array of equal-length samples, one sample
+per row; the public functions above check their input, call the kernel with a
+single row and wrap its result.  :func:`tailshape.pot.fit_all` calls the
+kernels on whole stacks of samples.  Every ``log1p`` temporary of a profile
+likelihood (the Zhang-Stephens grid and the GPD ML scan) is evaluated in
+blocks of at most :data:`ELEMENT_BUDGET` elements, over (row, grid point)
+pairs, so its memory does not grow with the number of rows or the sample size.
 """
 
 from __future__ import annotations
@@ -25,6 +34,10 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
+
+# elements in one log1p temporary of a profile likelihood (256 KiB of float64):
+# the GPD ML scan of 200 points over k = 100 excesses stays one block
+ELEMENT_BUDGET = 2**15
 
 __all__ = [
     "EstimatorId",
@@ -120,9 +133,15 @@ def estimate_pareto_ml(z) -> FitResult:
     arr = _clean_sample(z)
     if np.any(arr <= 0):
         raise ValueError("Pareto ML requires strictly positive observations")
-    mu = float(arr.min())
-    xi = float(np.mean(np.log(arr / mu)))
-    return FitResult(xi, None, mu, EstimatorId.PARETO_ML)
+    xi, mu = _pareto_ml_rows(arr[None, :])
+    return FitResult(float(xi[0]), None, float(mu[0]), EstimatorId.PARETO_ML)
+
+
+def _pareto_ml_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row kernel of :func:`estimate_pareto_ml`: ``(xi_hat, mu_hat)`` per row."""
+    mu = z.min(axis=1)
+    ratio = z / mu[:, None]
+    return np.log(ratio, out=ratio).mean(axis=1), mu
 
 
 def estimate_pwm(excesses, pos: PlottingPosition = PlottingPosition()) -> FitResult:
@@ -139,30 +158,43 @@ def estimate_pwm(excesses, pos: PlottingPosition = PlottingPosition()) -> FitRes
     arr = _clean_sample(excesses)
     if np.any(arr < 0):
         raise ValueError("PWM requires non-negative excesses")
-    srt = np.sort(arr)
-    p = pos.positions(srt.size)
-    a0 = float(srt.mean())
-    a1 = float(np.mean((1.0 - p) * srt))
-    denom = a0 - 2.0 * a1
+    xi, sigma, a0, a1, denom = (float(v[0]) for v in _pwm_rows(np.sort(arr)[None, :], pos))
     if denom <= 0:
         raise PwmSingularityError(
             f"probability-weighted-moment denominator a0 - 2*a1 = {denom} is not positive"
         )
-    xi = 2.0 - a0 / denom
-    sigma = 2.0 * a0 * a1 / denom
     return FitResult(xi, sigma, None, EstimatorId.PWM, {"a0": a0, "a1": a1})
 
 
-def _profile_xi(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Inner ML solution xi(theta) = mean(log1p(theta * x)) for each theta.
+def _pwm_rows(srt: np.ndarray, pos: PlottingPosition) -> tuple[np.ndarray, ...]:
+    """Row kernel of :func:`estimate_pwm` on sorted rows:
+    ``(xi_hat, sigma_hat, a0, a1, a0 - 2*a1)`` per row.  Rows whose
+    denominator is not positive get meaningless shape and scale values."""
+    p = pos.positions(srt.shape[1])
+    a0 = srt.mean(axis=1)
+    a1 = ((1.0 - p) * srt).mean(axis=1)
+    denom = a0 - 2.0 * a1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return 2.0 - a0 / denom, 2.0 * a0 * a1 / denom, a0, a1, denom
 
-    Evaluated in blocks to bound the temporary outer product for large samples.
+
+def _profile_xi(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Inner ML solution xi(theta) = mean(log1p(theta * x)) per row and grid point.
+
+    ``theta`` holds one row of grid points per sample row of ``x``.  The
+    (row, grid point, observation) temporary is evaluated in blocks of at most
+    ELEMENT_BUDGET elements: whole rows at a time while a row's grid fits the
+    budget, else part of one row's grid at a time.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    out = np.empty(theta.size)
-    block = max(1, 4_000_000 // max(x.size, 1))
-    for i in range(0, theta.size, block):
-        out[i : i + block] = np.log1p(np.multiply.outer(theta[i : i + block], x)).mean(axis=1)
+    rows, grid = theta.shape
+    n = x.shape[1]
+    per_block = min(grid, max(1, ELEMENT_BUDGET // n))
+    row_step = max(1, ELEMENT_BUDGET // (grid * n))
+    out = np.empty((rows, grid))
+    for a in range(0, rows, row_step):
+        for g in range(0, grid, per_block):
+            t = theta[a : a + row_step, g : g + per_block, None] * x[a : a + row_step, None, :]
+            out[a : a + row_step, g : g + per_block] = np.log1p(t, out=t).mean(axis=2)
     return out
 
 
@@ -174,13 +206,18 @@ def _profile_loglik(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nd
 
         l(theta) = n * (log(theta / xi(theta)) - xi(theta) - 1).
 
-    theta and xi(theta) always share a sign, so the log argument is positive;
-    invalid points (theta = 0 or xi = 0) are mapped to -inf.
+    ``theta`` holds grid points for one sample ``x``, or one row of grid
+    points per row of a 2-D ``x``.  theta and xi(theta) always share a sign,
+    so the log argument is positive; invalid points (theta = 0 or xi = 0) are
+    mapped to -inf.
     """
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    xi = _profile_xi(theta, x)
+    if x.ndim == 1:
+        xi = _profile_xi(theta[None, :], x[None, :])[0]
+    else:
+        xi = _profile_xi(theta, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ll = x.size * (np.log(theta / xi) - xi - 1.0)
+        ll = x.shape[-1] * (np.log(theta / xi) - xi - 1.0)
     return np.where(np.isfinite(ll), ll, -np.inf), xi
 
 
@@ -196,33 +233,51 @@ def estimate_zhang_stephens(excesses) -> FitResult:
     statistic.  The weighted theta_hat then gives
     xi_hat = mean(log1p(theta_hat * x)) and sigma_hat = xi_hat / theta_hat.
     Every grid point satisfies theta > -1/x_(n), so the estimate exists and is
-    finite for any sample with a positive maximum.
+    finite for any sample with a positive maximum, unless the grid or
+    theta * x overflows, which takes x* below about 1e-308 or x_(n) / x*
+    above about 1e308; the fit then fails.
     """
     y = np.sort(_clean_sample(excesses))
     if y[0] < 0:
         raise ValueError("Zhang-Stephens requires non-negative excesses")
     if y[-1] <= 0:
         raise EstimationError("Zhang-Stephens is undefined for an all-zero sample")
-    n = y.size
-    m = 20 + math.isqrt(n)
-    quart = y[(n + 5) // 4 - 1]  # ceil(n/4 + 0.5)-th order statistic, 1-indexed
-    if quart <= 0:
-        # zero-heavy sample: fall back to the smallest positive value so the
-        # grid stays finite; the estimate remains well defined
-        quart = float(y[y > 0][0])
-    j = np.arange(1, m + 1)
-    theta_grid = -1.0 / y[-1] + (np.sqrt(m / (j - 0.5)) - 1.0) / (3.0 * quart)
-    ll, _ = _profile_loglik(theta_grid, y)
-    w = np.exp(ll - ll.max())
-    w /= w.sum()
-    theta = float(w @ theta_grid)
-    xi = float(np.mean(np.log1p(theta * y)))
-    if xi == 0.0:
+    xi, sigma, theta, m = _zhang_stephens_rows(y[None, :])
+    if xi[0] == 0.0:
         raise EstimationError("Zhang-Stephens produced a degenerate zero estimate")
-    sigma = xi / theta
     return FitResult(
-        xi, sigma, None, EstimatorId.ZHANG_STEPHENS, {"theta": theta, "grid_size": float(m)}
+        float(xi[0]),
+        float(sigma[0]),
+        None,
+        EstimatorId.ZHANG_STEPHENS,
+        {"theta": float(theta[0]), "grid_size": float(m)},
     )
+
+
+def _zhang_stephens_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Row kernel of :func:`estimate_zhang_stephens` on sorted rows with at
+    least two observations: ``(xi_hat, sigma_hat, theta_hat)`` per row and the
+    grid size.
+    Rows that are not non-negative with a positive maximum, or whose xi_hat
+    is zero, get meaningless values."""
+    n = y.shape[1]
+    m = 20 + math.isqrt(n)
+    quart = y[:, (n + 5) // 4 - 1]  # ceil(n/4 + 0.5)-th order statistic, 1-indexed
+    zero_heavy = quart <= 0
+    if zero_heavy.any():
+        # fall back to the smallest positive value so the grid stays finite;
+        # the estimate remains well defined
+        quart = np.where(zero_heavy, np.where(y > 0, y, np.inf).min(axis=1), quart)
+    j = np.arange(1, m + 1)
+    theta_grid = -1.0 / y[:, -1:] + (np.sqrt(m / (j - 0.5)) - 1.0) / (3.0 * quart[:, None])
+    ll, _ = _profile_loglik(theta_grid, y)
+    w = np.exp(ll - ll.max(axis=1, keepdims=True))
+    w /= w.sum(axis=1, keepdims=True)
+    # one BLAS dot per row: a sum along an axis would round differently
+    theta = np.matmul(w[:, None, :], theta_grid[:, :, None])[:, 0, 0]
+    xi = np.log1p(theta[:, None] * y).mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return xi, xi / theta, theta, m
 
 
 def _profile_score(theta: float, x: np.ndarray) -> tuple[float, float]:
@@ -278,6 +333,8 @@ def estimate_gpd_mle(excesses) -> FitResult:
     if x.max() <= 0:
         raise EstimationError("GPD MLE is undefined for an all-zero sample")
     xbar = float(x.mean())
+    if xbar == 0.0:
+        raise EstimationError("GPD MLE is undefined for a sample whose mean underflows to zero")
     theta_hi = 1e4 / xbar
     theta_lo = 1e-8 / xbar
     grid = np.geomspace(theta_lo, theta_hi, 200)
@@ -355,9 +412,10 @@ def estimate_hill(x, k: int) -> FitResult:
     arr = _clean_sample(x)
     if not isinstance(k, (int, np.integer)) or not 1 <= k < arr.size:
         raise ValueError(f"k must satisfy 1 <= k < n = {arr.size}, got {k!r}")
-    srt = np.sort(arr)
-    threshold = float(srt[arr.size - k - 1])
+    part = np.partition(arr, arr.size - k - 1)
+    threshold = float(part[arr.size - k - 1])
     if threshold <= 0:
         raise ValueError("Hill estimator needs a positive threshold X_(n-k)")
-    xi = float(np.mean(np.log(srt[arr.size - k :] / threshold)))
+    # sorted, the top k sum in the same order as in a full sort
+    xi = float(np.mean(np.log(np.sort(part[arr.size - k :]) / threshold)))
     return FitResult(xi, None, threshold, EstimatorId.HILL, {"k": float(k)})

@@ -10,7 +10,14 @@ across worker processes.
 Scenarios without k follow the excess-over-minimum recipe: the smallest
 observation estimates the support bound and :func:`tailshape.pot.fit_all`
 fits the strictly positive excesses over it (Pareto ML and the transforms the
-original observations).  Scenarios with k use :func:`tailshape.pot.pot_estimate`.
+original observations).  These replications are batched: a chunk of them is
+drawn into a matrix, one row per stream, and fitted by one stacked
+``fit_all`` call (rows with ties at their minimum, which have fewer excesses,
+stack by their excess count).  A chunk holds an eighth of
+:data:`tailshape.estimators.ELEMENT_BUDGET` values, so memory does not grow
+with m, and every row gets exactly the estimates of a replication fitted
+alone.  Scenarios with k run one replication at a time through
+:func:`tailshape.pot.pot_estimate`.
 
 Summaries report MSE, bias (true shape minus average estimate), relative
 efficiency against the asymptotic ML benchmark ``((1 + xi)^2 / n) / MSE`` and
@@ -43,7 +50,7 @@ from .distributions import (
     sample_student_t,
     sample_symmetric_stable,
 )
-from .estimators import EstimatorId, FitResult
+from .estimators import ELEMENT_BUDGET, EstimatorId
 from .pot import DEFAULT_POT_ESTIMATORS, PotConfig, fit_all, pot_estimate
 
 __all__ = [
@@ -277,19 +284,34 @@ def _replicate_range(spec: ExperimentSpec, start: int, stop: int) -> dict[Estima
     slots = {est: np.full(stop - start, np.nan) for est in spec.estimator_set}
     if spec.k is not None:
         cfg = PotConfig(spec.k, spec.estimator_set, fold_absolute=spec.fold_absolute)
-    for offset, r in enumerate(range(start, stop)):
-        x = spec.source.sample(spec.n, RngStream(spec.seed, r))
-        if spec.k is None:
-            mu_hat = float(x.min())
-            fits = fit_all(x, mu_hat, x[x > mu_hat] - mu_hat, spec.estimator_set, spec.rounds)
-        else:
+        for offset, r in enumerate(range(start, stop)):
+            x = spec.source.sample(spec.n, RngStream(spec.seed, r))
             try:
                 fits = pot_estimate(x, cfg).fits
             except ValueError:  # fewer than 2 exceedances: every estimate fails
                 continue
-        for est, fit in fits.items():
-            if isinstance(fit, FitResult) and fit.diagnostics.get("converged", 1.0):
-                slots[est][offset] = fit.xi_hat
+            for est, fit in fits.items():
+                if fit.diagnostics.get("converged", 1.0):
+                    slots[est][offset] = fit.xi_hat
+        return slots
+    # about eight (rows x n) arrays are alive while a chunk is fitted, so a
+    # chunk holds an eighth of the element budget
+    chunk = max(1, ELEMENT_BUDGET // (8 * spec.n))
+    for a in range(start, stop, chunk):
+        b = min(a + chunk, stop)
+        x = np.stack([spec.source.sample(spec.n, RngStream(spec.seed, r)) for r in range(a, b)])
+        mu_hat = x.min(axis=1)
+        above = x > mu_hat[:, None]
+        count = above.sum(axis=1)
+        # rows with ties at the minimum have fewer excesses: rows stack by count
+        for width in dict.fromkeys(count.tolist()):
+            rows = np.flatnonzero(count == width)
+            xs = x if rows.size == len(x) else x[rows]
+            exc = xs[above[rows]].reshape(rows.size, width)
+            exc -= mu_hat[rows, None]
+            fits = fit_all(xs, mu_hat[rows], exc, spec.estimator_set, spec.rounds)
+            for est, xi in fits.items():
+                slots[est][a - start + rows] = xi
     return slots
 
 

@@ -1,7 +1,8 @@
 """Estimator plan and peaks-over-threshold estimation pipeline.
 
 :func:`fit_all` runs every estimator set in the package, sharing one initial
-fit between a transformed estimator and its plain counterpart.  In the POT
+fit between a transformed estimator and its plain counterpart, on one sample
+or on a stack of equal-length samples, one per row.  In the POT
 pipeline the threshold is the (n-k)-th order statistic, so exactly the k
 largest observations exceed it (ties at the threshold count as
 non-exceedances).  The plan runs on the k strictly positive excesses with the
@@ -21,13 +22,17 @@ from .estimators import (
     EstimationError,
     EstimatorId,
     FitResult,
+    PlottingPosition,
+    _pareto_ml_rows,
+    _pwm_rows,
+    _zhang_stephens_rows,
     estimate_gpd_mle,
     estimate_hill,
     estimate_pareto_ml,
     estimate_pwm,
     estimate_zhang_stephens,
 )
-from .transform import iterate_transform
+from .transform import _iterate_transform_rows, iterate_transform
 
 __all__ = [
     "DEFAULT_POT_ESTIMATORS",
@@ -107,36 +112,120 @@ def _attempt(fitter, *args) -> FitResult | str:
         return str(err)
 
 
-def fit_all(x, support: float, exc, wanted, rounds: int = 0) -> dict[EstimatorId, FitResult | str]:
+class _RowFits:
+    """One estimator's fits of a stack of samples.
+
+    ``kernel`` is ``(xi, sigma, ok)``: each row's shape and scale estimates
+    from a row kernel, and the rows that keep them.  Every other row runs
+    ``fit_row``, the 1-D estimator; ``outcomes`` keeps its FitResult or
+    failure message, and ``xi`` and ``sigma`` take its estimates, NaN where
+    the fit failed or GPD ML did not converge.  Without a kernel (a 1-D
+    call) only ``outcomes`` is kept.
+    """
+
+    def __init__(self, rows: int, kernel, fit_row):
+        self.xi, self.sigma, ok = kernel or (None, None, None)
+        todo = range(rows) if ok is None else np.flatnonzero(~ok)
+        self.outcomes: dict[int, FitResult | str] = {i: fit_row(i) for i in todo}
+        if self.xi is None:
+            return
+        for i, outcome in self.outcomes.items():
+            fitted = isinstance(outcome, FitResult) and outcome.diagnostics.get("converged", 1.0)
+            self.xi[i] = outcome.xi_hat if fitted else np.nan
+            self.sigma[i] = outcome.sigma_hat if fitted and outcome.sigma_hat else np.nan
+
+    def fit(self, i: int, estimator: EstimatorId) -> FitResult | str:
+        """Row i as its 1-D estimator returns it, without diagnostics where
+        the kernel fitted it."""
+        if i in self.outcomes:
+            return self.outcomes[i]
+        return FitResult(float(self.xi[i]), float(self.sigma[i]), None, estimator)
+
+
+def _kernel_fits(base: EstimatorId, x: np.ndarray, srt: np.ndarray):
+    """``(xi, sigma, ok)`` over a stack from the row kernel of ``base``, with
+    ``srt`` the sorted excesses: the estimates of every row, and the rows
+    whose estimates the 1-D estimator returns unchanged (the other rows hold
+    meaningless values).  No row is kept where the kernel does not apply."""
+    rows = len(x)
+    if base is EstimatorId.GPD_MLE or (base is not EstimatorId.PARETO_ML and srt.shape[1] < 2):
+        return np.full(rows, np.nan), np.full(rows, np.nan), np.zeros(rows, dtype=bool)
+    with np.errstate(all="ignore"):
+        if base is EstimatorId.PARETO_ML:
+            xi, mu = _pareto_ml_rows(x)
+            return xi, np.full(rows, np.nan), (mu > 0) & np.isfinite(xi)
+        ok = (srt[:, 0] >= 0) & (srt[:, -1] < np.inf)  # non-negative and finite; NaN sorts last
+        if base is EstimatorId.ZHANG_STEPHENS:
+            xi, sigma, _, _ = _zhang_stephens_rows(srt)
+            ok &= srt[:, -1] > 0  # a zero xi_hat fails through sigma_hat = 0
+        else:
+            xi, sigma, _, _, denom = _pwm_rows(srt, PlottingPosition())
+            ok &= denom > 0
+    return xi, sigma, ok & np.isfinite(xi) & np.isfinite(sigma) & (sigma > 0)
+
+
+def fit_all(
+    x, support, exc, wanted, rounds: int = 0
+) -> dict[EstimatorId, FitResult | str] | dict[EstimatorId, np.ndarray]:
     """Fit each wanted estimator once; failures map to their messages.
 
     Zhang-Stephens, PWM and GPD ML fit the excesses ``exc`` (GPD ML even when
     not converged), Pareto ML fits ``x``.  A transformed estimator runs
     :func:`iterate_transform` on ``x`` with the support estimate ``support``,
     reusing the one Zhang-Stephens or PWM fit of the call.  Hill needs
-    :func:`pot_estimate`.
+    :func:`pot_estimate`.  Returns ``{EstimatorId: FitResult | message}``.
+
+    Stack form: ``x`` of shape (r, n), ``exc`` of shape (r, w) and
+    ``support`` of shape (r,) hold r samples, one per row.  The result maps
+    each estimator to the r shape estimates, NaN where that row's fit failed
+    or GPD ML did not converge, so a failure fails only its row.  Each row
+    gets exactly the estimate of a 1-D call on it: the row kernels fit the
+    whole stack, and a row whose kernel fit would not stand unchanged runs
+    the 1-D estimator, which is the same kernel on one row.  So does every
+    GPD ML row, and the one row of a 1-D call.
     """
     if EstimatorId.HILL in wanted:
         raise ValueError("the Hill estimator needs the raw sample and k; use pot_estimate")
+    single = np.ndim(x) == 1
+    if single:
+        x, support, exc = [x], [support], [exc]
+    else:
+        x, support, exc = (np.asarray(a, dtype=float) for a in (x, support, exc))
+    rows = len(x)
     # built per call, so the estimators are looked up by their module-level names
-    direct = {
+    one_row = {
         EstimatorId.ZHANG_STEPHENS: (estimate_zhang_stephens, exc),
         EstimatorId.PWM: (estimate_pwm, exc),
         EstimatorId.GPD_MLE: (estimate_gpd_mle, exc),
         EstimatorId.PARETO_ML: (estimate_pareto_ml, x),
     }
-    fits: dict[EstimatorId, FitResult | str] = {}
+    fits: dict[EstimatorId, _RowFits] = {}
+    srt = None if single else np.sort(exc, axis=1)
     for estimator in dict.fromkeys(wanted):
         base, name = _INITIAL.get(estimator, (estimator, ""))
         if base not in fits:
-            fits[base] = _attempt(*direct[base])
+            fitter, data = one_row[base]
+            kernel = None if single else _kernel_fits(base, x, srt)
+            fits[base] = _RowFits(rows, kernel, lambda i: _attempt(fitter, data[i]))
         if base is estimator:
             continue
-        if isinstance(fits[base], str):
-            fits[estimator] = f"initial {name} fit failed: {fits[base]}"
-        else:
-            fits[estimator] = _attempt(iterate_transform, x, fits[base], support, rounds)
-    return {estimator: fits[estimator] for estimator in wanted}
+        initial = fits[base]
+
+        def transformed(i):
+            fit = initial.fit(i, base)
+            if isinstance(fit, str):
+                return f"initial {name} fit failed: {fit}"
+            return _attempt(iterate_transform, x[i], fit, support[i], rounds)
+
+        kernel = None
+        if not single:
+            xi = _iterate_transform_rows(x, support, initial.sigma, initial.xi, rounds)
+            ok = np.isfinite(initial.xi) & (support > 0) & (support < np.inf)
+            kernel = xi, np.full(rows, np.nan), ok & np.isfinite(xi) & np.isfinite(x).all(axis=1)
+        fits[estimator] = _RowFits(rows, kernel, transformed)
+    if single:
+        return {estimator: fits[estimator].fit(0, estimator) for estimator in wanted}
+    return {estimator: fits[estimator].xi for estimator in wanted}
 
 
 def pot_estimate(x, cfg: PotConfig) -> PotResult:

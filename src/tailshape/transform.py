@@ -12,7 +12,10 @@ to zero).
 
 Applying Pareto maximum likelihood to the transformed sample yields the
 transformed shape estimate; quantiles of the original GPD are recovered from
-Pareto quantiles by inverting the affine map.
+Pareto quantiles by inverting the affine map.  The three-parameter map, the
+clamp and Pareto ML are each written once; :func:`iterate_transform` composes
+them for one sample and its private row kernel for a stack of equal-length
+samples, one per row, each with its own initial fit.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .estimators import EstimatorId, FitResult, estimate_pareto_ml
+from .estimators import EstimatorId, FitResult, _pareto_ml_rows, estimate_pareto_ml
 
 __all__ = [
     "TransformForm",
@@ -86,14 +89,29 @@ class TransformSpec:
     @property
     def slope(self) -> float:
         if self.form is TransformForm.THREE_PARAMETER:
-            return self.xi_hat * self.mu_hat / self.sigma_hat
+            return _three_parameter_map(self.mu_hat, self.sigma_hat, self.xi_hat)[0]
         return self.xi_hat
 
     @property
     def intercept(self) -> float:
         if self.form is TransformForm.THREE_PARAMETER:
-            return self.mu_hat * (1.0 - self.xi_hat * self.mu_hat / self.sigma_hat)
+            return _three_parameter_map(self.mu_hat, self.sigma_hat, self.xi_hat)[1]
         return self.sigma_hat
+
+
+def _three_parameter_map(mu_hat, sigma_hat, xi_hat):
+    """Slope and intercept of the three-parameter map, for scalars or arrays."""
+    return xi_hat * mu_hat / sigma_hat, mu_hat * (1.0 - xi_hat * mu_hat / sigma_hat)
+
+
+def _clamped_map(x, slope, intercept, bound) -> tuple[np.ndarray, np.ndarray]:
+    """``slope * x + intercept`` with values below ``bound`` set to it, and the
+    mask of those values; per-row parameters broadcast as columns."""
+    z = slope * x
+    z += intercept
+    below = z < bound
+    np.copyto(z, bound, where=below)
+    return z, below
 
 
 @dataclass
@@ -117,13 +135,9 @@ def to_pareto(x, spec: TransformSpec) -> TransformOutcome:
         raise ValueError("cannot transform an empty sample")
     if not np.all(np.isfinite(arr)):
         raise ValueError("sample contains non-finite values")
-    z = spec.slope * arr + spec.intercept
     bound = spec.lower_bound
-    below = z < bound
-    count = int(np.count_nonzero(below))
-    if count:
-        z = np.where(below, bound, z)
-    return TransformOutcome(z, count, bound)
+    z, below = _clamped_map(arr, spec.slope, spec.intercept, bound)
+    return TransformOutcome(z, int(np.count_nonzero(below)), bound)
 
 
 def transformed_shape_estimate(x, initial: FitResult, mu_hat: float) -> FitResult:
@@ -187,6 +201,24 @@ def iterate_transform(x, initial: FitResult, mu_hat: float, rounds: int) -> FitR
         done += 1
     fit.diagnostics["refresh_rounds"] = float(done)
     return fit
+
+
+def _iterate_transform_rows(x, mu_hat, sigma_hat, xi_hat, rounds: int) -> np.ndarray:
+    """Row kernel of :func:`iterate_transform` with three-parameter maps.
+
+    Row i of ``x`` is transformed with ``mu_hat[i]``, ``sigma_hat[i]`` and
+    ``xi_hat[i]``; the result is each row's shape estimate after ``rounds``
+    refresh rounds.  A refreshed estimate is a Pareto ML fit, so a non-positive
+    one is zero, which maps every value to the bound and fits zero again: the
+    early stop of :func:`iterate_transform` would not change it.
+    """
+    xi = xi_hat
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(rounds + 1):
+            slope, intercept = _three_parameter_map(mu_hat, sigma_hat, xi)
+            z, _ = _clamped_map(x, slope[:, None], intercept[:, None], mu_hat[:, None])
+            xi = _pareto_ml_rows(z)[0]
+    return xi
 
 
 def gpd_quantile_via_transform(spec: TransformSpec, alpha_transformed: float, prob):

@@ -194,6 +194,23 @@ class TestQuantile:
         assert code == 2
         assert path in err and "bogus" in err
 
+    @pytest.mark.parametrize(
+        "fields, reason",
+        [
+            ({"alpha_transformed": -1}, "alpha_transformed"),
+            ({"alpha_transformed": "x"}, "alpha_transformed"),
+            ({"xi_hat": -0.5, "alpha_transformed": 2.0}, "xi_hat"),
+        ],
+        ids=["negative-alpha", "text-alpha", "negative-xi-with-alpha"],
+    )
+    def test_invalid_fit_values_are_data_errors(self, capsys, tmp_path, fields, reason):
+        fit = {"mu_hat": 1.0, "sigma_hat": 1.0, "xi_hat": 0.5, **fields}
+        path = write(tmp_path / "fit.json", json.dumps(fit))
+        code, out, err = run(capsys, "quantile", "--fit", path, "--p", "0.5")
+        assert code == 2
+        assert out == ""
+        assert path in err and reason in err
+
 
 SCENARIO_CONFIG = """\
 # one small scenario

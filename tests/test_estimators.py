@@ -26,6 +26,7 @@ from tailshape import (
     sample_student_t,
     sample_symmetric_stable,
 )
+from tailshape import fit_all
 from tailshape.estimators import _profile_loglik
 from tailshape.pot import excesses, select_threshold
 
@@ -144,6 +145,32 @@ class TestZhangStephens:
         assert estimate_zhang_stephens(shuffled).xi_hat == pytest.approx(
             estimate_zhang_stephens(z).xi_hat, abs=1e-12
         )
+
+
+# zeros and positive values within 300 decades: with a quartile below about
+# 1e-308, or about 308 decades between it and the largest value, the grid or
+# theta * x overflows (see the strict xfail below)
+nonnegative_samples = st.lists(
+    st.one_of(st.just(0.0), st.floats(min_value=1e-150, max_value=1e150)),
+    min_size=2,
+    max_size=80,
+).filter(lambda values: max(values) > 0)
+
+
+class TestZhangStephensFinite:
+    @settings(max_examples=300, deadline=None)
+    @given(nonnegative_samples)
+    def test_finite_on_any_nonnegative_sample(self, values):
+        fit = estimate_zhang_stephens(values)
+        assert math.isfinite(fit.xi_hat)
+        assert math.isfinite(fit.sigma_hat) and fit.sigma_hat > 0
+
+    @pytest.mark.xfail(
+        strict=True, raises=ValueError, reason="the theta grid times x overflows past 1.8e308"
+    )
+    @pytest.mark.parametrize("values", [[990.0, 2.2250738585072014e-308], [1.7e308, 1e-3]])
+    def test_finite_beyond_308_decades(self, values):
+        assert math.isfinite(estimate_zhang_stephens(values).xi_hat)
 
 
 class TestGpdMle:
@@ -332,3 +359,54 @@ class TestPermutationInvariance:
         x = sample_pareto(ParetoParams(1.0, 1.0), 400, RngStream(36, 0))
         shuffled = x[RngStream(36, 1).generator.permutation(x.size)]
         assert estimate_hill(shuffled, 50).xi_hat == estimate_hill(x, 50).xi_hat
+
+
+def _reference_zhang_stephens(values):
+    """Oracle: the 1-D Zhang-Stephens fit as written before the row kernel.
+    Returns ``(xi_hat, sigma_hat)``."""
+    y = np.sort(np.asarray(values, dtype=float))
+    n = y.size
+    m = 20 + math.isqrt(n)
+    quart = y[(n + 5) // 4 - 1]
+    if quart <= 0:
+        quart = float(y[y > 0][0])
+    j = np.arange(1, m + 1)
+    theta_grid = -1.0 / y[-1] + (np.sqrt(m / (j - 0.5)) - 1.0) / (3.0 * quart)
+    xi_grid = np.log1p(np.multiply.outer(theta_grid, y)).mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = n * (np.log(theta_grid / xi_grid) - xi_grid - 1.0)
+    ll = np.where(np.isfinite(ll), ll, -np.inf)
+    w = np.exp(ll - ll.max())
+    w /= w.sum()
+    theta = float(w @ theta_grid)
+    xi = float(np.mean(np.log1p(theta * y)))
+    return xi, xi / theta
+
+
+class TestRowKernelsMatchOneSampleCode:
+    @settings(max_examples=200, deadline=None)
+    @given(nonnegative_samples)
+    def test_zhang_stephens_bit_for_bit(self, values):
+        fit = estimate_zhang_stephens(values)
+        assert (fit.xi_hat, fit.sigma_hat) == _reference_zhang_stephens(values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(min_value=0, max_value=2**32), st.integers(2, 3000), st.data())
+    def test_hill_partition_equals_full_sort(self, seed, n, data):
+        x = np.abs(sample_student_t(2.0, n, RngStream(seed, 0)))
+        k = data.draw(st.integers(min_value=1, max_value=n - 1))
+        srt = np.sort(x)
+        threshold = srt[x.size - k - 1]
+        fit = estimate_hill(x, k)
+        assert fit.mu_hat == threshold
+        assert fit.xi_hat == float(np.mean(np.log(srt[x.size - k :] / threshold)))
+
+
+class TestGpdMleUnderflow:
+    def test_mean_underflowing_to_zero_is_an_estimation_error(self):
+        # the mean of [0, 5e-324] rounds to 0, so the scan range 1e4 / mean
+        # does not exist; this raised ZeroDivisionError past fit_all
+        with pytest.raises(EstimationError):
+            estimate_gpd_mle([0.0, 5e-324])
+        x = np.array([0.0, 5e-324])
+        assert isinstance(fit_all(x, 0.0, x, (EstimatorId.GPD_MLE,))[EstimatorId.GPD_MLE], str)

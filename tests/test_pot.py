@@ -1,5 +1,8 @@
 """Tests for the peaks-over-threshold pipeline."""
 
+from dataclasses import dataclass
+from typing import ClassVar
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,8 +11,10 @@ from hypothesis import strategies as st
 import tailshape.pot
 from tailshape import (
     EstimatorId,
+    ExperimentSpec,
     FitResult,
     GpdParams,
+    GpdSource,
     ParetoParams,
     PotConfig,
     RngStream,
@@ -22,6 +27,7 @@ from tailshape import (
     sample_student_t,
     select_threshold,
 )
+from tailshape import montecarlo
 
 
 class TestSelectThreshold:
@@ -252,3 +258,148 @@ class TestFitAll:
     def test_hill_needs_pot_estimate(self):
         with pytest.raises(ValueError, match="pot_estimate"):
             fit_all(np.array([1.0, 2.0, 3.0]), 1.0, np.array([1.0, 2.0]), (EstimatorId.HILL,))
+
+
+def _row(draw, n):
+    """One sample row: spread, with ties at the minimum, all equal, or with a
+    non-finite value."""
+    kind = draw(st.sampled_from(["spread", "tied", "equal", "non-finite"]))
+    if kind == "equal":
+        return [draw(st.floats(min_value=-5.0, max_value=50.0))] * n
+    values = draw(st.lists(st.floats(min_value=-5.0, max_value=50.0), min_size=n, max_size=n))
+    if kind == "tied":
+        values[-1] = min(values)
+    if kind == "non-finite":
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from([np.inf, -np.inf, np.nan]))
+    return values
+
+
+@st.composite
+def stacks(draw):
+    """Equal-length rows, some with a non-positive minimum, ties or no spread,
+    and the support estimates: each row's minimum, or that shifted."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    r = draw(st.integers(min_value=1, max_value=5))
+    x = np.array([_row(draw, n) for _ in range(r)])
+    shifts = draw(st.lists(st.sampled_from([0.0, 0.0, -1.5, 2.0]), min_size=r, max_size=r))
+    return x, x.min(axis=1) + np.array(shifts)
+
+
+def _bits(value) -> str:
+    return repr(float(value))
+
+
+class TestFitAllStack:
+    """fit_all on a stack of rows equals the 1-D fit_all on each row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        stacks(),
+        st.sets(st.sampled_from(PLAN_ESTIMATORS), min_size=1).map(tuple),
+        st.integers(min_value=0, max_value=2),
+        st.sampled_from(["shifted", "strict", "independent"]),
+        st.data(),
+    )
+    def test_stack_equals_rows(self, stack, wanted, rounds, exc_mode, data):
+        x, support = stack
+        with np.errstate(invalid="ignore"):  # inf - inf
+            exc = x - support[:, None]  # negative or non-finite where support is off
+        counts = {int(np.sum(row > 0)) for row in exc}
+        if exc_mode == "strict" and len(counts) == 1:  # as many positive excesses per row
+            exc = exc[exc > 0].reshape(len(x), counts.pop())
+        if exc_mode == "independent":  # finite excesses whatever x holds
+            width = data.draw(st.integers(min_value=0, max_value=12))
+            cells = st.floats(min_value=0.0, max_value=20.0)
+            exc = np.array(data.draw(st.lists(
+                st.lists(cells, min_size=width, max_size=width), min_size=len(x), max_size=len(x)
+            ))).reshape(len(x), width)
+        stacked = fit_all(x, support, exc, wanted, rounds)
+        assert set(stacked) == set(wanted)
+        for i in range(len(x)):
+            one = fit_all(x[i], float(support[i]), exc[i], wanted, rounds)
+            for estimator in wanted:
+                fit = one[estimator]
+                fitted = isinstance(fit, FitResult) and fit.diagnostics.get("converged", 1.0)
+                assert _bits(stacked[estimator][i]) == _bits(fit.xi_hat if fitted else np.nan)
+
+    def test_row_failure_fails_only_its_row(self):
+        good = sample_gpd(GpdParams(1.0, 1.0, 0.5), 30, RngStream(62, 0))
+        with_inf = good.copy()
+        with_inf[3] = np.inf
+        x = np.stack([good, np.full(30, 2.0), good - 5.0, with_inf])
+        support = x.min(axis=1)
+        exc = x - support[:, None]
+        exc[3] = np.linspace(0.0, 1.0, 30)  # finite and short-tailed
+        stacked = fit_all(x, support, exc, PLAN_ESTIMATORS)
+        for estimator in PLAN_ESTIMATORS:
+            assert np.isfinite(stacked[estimator][0])
+        # all-equal: zero excesses; shifted below zero: no Pareto ML or transform
+        assert np.isnan(stacked[EstimatorId.ZHANG_STEPHENS][1])
+        assert np.isnan(stacked[EstimatorId.TRANSFORMED_PWM][1])
+        assert np.isnan(stacked[EstimatorId.PARETO_ML][2])
+        assert np.isnan(stacked[EstimatorId.TRANSFORMED_ZS][2])
+        assert stacked[EstimatorId.ZHANG_STEPHENS][2] == stacked[EstimatorId.ZHANG_STEPHENS][0]
+        # a negative initial slope would clamp the infinite value to the bound;
+        # the 1-D transform rejects the sample all the same
+        assert stacked[EstimatorId.PWM][3] < 0
+        assert np.isnan(stacked[EstimatorId.TRANSFORMED_PWM][3])
+        assert np.isnan(stacked[EstimatorId.TRANSFORMED_ZS][3])
+
+
+@dataclass(frozen=True)
+class _RoundedGpd:
+    """GPD source rounded to one decimal, so samples tie at their minimum."""
+
+    param_name: ClassVar[str] = "xi"
+    xi: float
+
+    @property
+    def true_xi(self) -> float:
+        return self.xi
+
+    def sample(self, n, rng):
+        return np.round(sample_gpd(GpdParams(1.0, 1.0, self.xi), n, rng), 1)
+
+
+def _slots_equal(a, b):
+    assert a.keys() == b.keys()
+    for estimator in a:
+        assert [_bits(v) for v in a[estimator]] == [_bits(v) for v in b[estimator]]
+
+
+class TestBatchedReplication:
+    """The excess-over-minimum replications, fitted a chunk of rows at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.sampled_from([GpdSource(GpdParams(1.0, 1.0, 0.5)), _RoundedGpd(0.5)]),
+        st.integers(min_value=2, max_value=40),
+        st.integers(min_value=1, max_value=25),
+        st.lists(st.integers(min_value=1, max_value=24), max_size=4),
+        st.sampled_from([None, 60]),
+        st.integers(min_value=0, max_value=2),
+    )
+    def test_any_split_of_the_range_gives_the_same_slots(
+        self, source, n, m, cuts, budget, rounds
+    ):
+        # criterion 09: workers fit sub-ranges; a small budget forces several chunks
+        spec = ExperimentSpec(
+            source, n=n, m=m, estimators=PLAN_ESTIMATORS, seed=7, rounds=rounds
+        )
+        bounds = sorted({0, m, *(c for c in cuts if c < m)})
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(montecarlo, "ELEMENT_BUDGET", budget)
+            whole = montecarlo._replicate_range(spec, 0, m)
+            parts = [montecarlo._replicate_range(spec, a, b) for a, b in zip(bounds, bounds[1:])]
+        _slots_equal(whole, {e: np.concatenate([p[e] for p in parts]) for e in whole})
+        # each slot is the 1-D fit_all of its own replication
+        expected = {e: np.full(m, np.nan) for e in PLAN_ESTIMATORS}
+        for r in range(m):
+            x = spec.source.sample(n, RngStream(spec.seed, r))
+            support = float(x.min())
+            fits = fit_all(x, support, x[x > support] - support, PLAN_ESTIMATORS, rounds)
+            for estimator, fit in fits.items():
+                if isinstance(fit, FitResult) and fit.diagnostics.get("converged", 1.0):
+                    expected[estimator][r] = fit.xi_hat
+        _slots_equal(whole, expected)

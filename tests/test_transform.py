@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from tailshape import (
@@ -101,6 +103,41 @@ class TestToPareto:
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
             to_pareto([], TransformSpec(1.0, 1.0, 0.5))
+
+
+finite_samples = st.lists(st.floats(min_value=-1e3, max_value=1e3), min_size=1, max_size=50)
+positive_reals = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@st.composite
+def transform_specs(draw, xi=st.floats(min_value=-5.0, max_value=5.0)):
+    form = draw(st.sampled_from(TransformForm))
+    mu = draw(positive_reals if form is TransformForm.THREE_PARAMETER else st.floats(-1e3, 1e3))
+    return TransformSpec(mu, draw(positive_reals), draw(xi), form)
+
+
+class TestToParetoRules:
+    @settings(max_examples=300, deadline=None)
+    @given(finite_samples, transform_specs())
+    def test_clamp_rule(self, values, spec):
+        # values mapped below the bound are set to it and counted; the rest
+        # are the affine map itself
+        x = np.array(values)
+        out = to_pareto(x, spec)
+        raw = spec.slope * x + spec.intercept
+        below = raw < spec.lower_bound
+        assert out.clamp_count == np.count_nonzero(below)
+        assert out.lower_bound == spec.lower_bound
+        assert np.all(out.z[below] == spec.lower_bound)
+        assert np.array_equal(out.z[~below], raw[~below])
+
+    @settings(max_examples=300, deadline=None)
+    @given(finite_samples, transform_specs(xi=positive_reals))
+    def test_rank_rule(self, values, spec):
+        # a positive slope never reverses the order of two values, clamped or not
+        x = np.array(values)
+        z = to_pareto(x, spec).z
+        assert np.all(np.diff(z[np.argsort(x, kind="stable")]) >= 0)
 
 
 class TestTransformedShapeEstimate:
