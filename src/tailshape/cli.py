@@ -286,7 +286,7 @@ def read_data_file(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read data file {path}: {err}") from None
     values = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -320,7 +320,7 @@ def _cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigError(f"cannot read config file {args.config}: {err}") from None
     groups = parse_config(text, args.config, seed_override=args.seed)
 
@@ -423,7 +423,7 @@ def _load_fit_file(path: str) -> tuple[TransformSpec, float]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             payload = json.load(handle)
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read fit file {path}: {err}") from None
     except json.JSONDecodeError as err:
         raise DataError(f"{path}: invalid JSON: {err}") from None
@@ -521,7 +521,7 @@ def main(argv=None) -> int:
     except DataError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
-    except (EstimationError, ValueError) as err:
+    except EstimationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -210,14 +210,23 @@ def sample_pareto(params: ParetoParams, n: int, rng: RngStream) -> np.ndarray:
     return np.asarray(pareto_quantile(params, u))
 
 
+def _check_df(df: float) -> None:
+    if not (math.isfinite(df) and df > 0):
+        raise ValueError(f"df must be a positive real, got {df}")
+
+
+def _check_index(index: float) -> None:
+    if not (math.isfinite(index) and 0 < index <= 2):
+        raise ValueError(f"stability index must lie in (0, 2], got {index}")
+
+
 def sample_student_t(df: float, n: int, rng: RngStream) -> np.ndarray:
     """Draw n standard Student's t variates with ``df`` degrees of freedom.
 
     Generated as standard normal over sqrt(chi-square(df)/df).  For tail
     purposes the implied GPD shape of threshold excesses is 1/df.
     """
-    if not (math.isfinite(df) and df > 0):
-        raise ValueError(f"df must be a positive real, got {df}")
+    _check_df(df)
     n = _check_count(n)
     g = rng.generator
     z = g.standard_normal(n)
@@ -237,8 +246,7 @@ def sample_symmetric_stable(index: float, n: int, rng: RngStream) -> np.ndarray:
     The formula is continuous in the symmetric case, so index = 1 yields
     tan(Phi) (standard Cauchy) and index = 2 yields N(0, 2).
     """
-    if not (math.isfinite(index) and 0 < index <= 2):
-        raise ValueError(f"stability index must lie in (0, 2], got {index}")
+    _check_index(index)
     n = _check_count(n)
     g = rng.generator
     phi = np.pi * (g.random(n) - 0.5)

@@ -17,10 +17,10 @@ Five estimators are provided:
 All estimators are pure functions of their input sample and are safe to call
 concurrently.
 
-Pareto ML, PWM and Zhang-Stephens each have one numerical implementation, a
-private row kernel that fits a 2-D array of equal-length samples, one sample
-per row; the public functions above check their input, call the kernel with a
-single row and wrap its result.  :func:`tailshape.pot.fit_all` calls the
+Each estimator has one numerical implementation, a private row kernel that
+fits a 2-D array of equal-length samples, one sample per row; the public
+functions above check their input, call the kernel with a single row and wrap
+its result.  :func:`tailshape.pot.fit_all` and the replication engine call the
 kernels on whole stacks of samples.  Every ``log1p`` temporary of a profile
 likelihood (the Zhang-Stephens grid and the GPD ML scan) is evaluated in
 blocks of at most :data:`ELEMENT_BUDGET` elements, over (row, grid point)
@@ -217,8 +217,13 @@ def _profile_loglik(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nd
     else:
         xi = _profile_xi(theta, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ll = x.shape[-1] * (np.log(theta / xi) - xi - 1.0)
-    return np.where(np.isfinite(ll), ll, -np.inf), xi
+        ll = np.divide(theta, xi)
+        np.log(ll, out=ll)
+        ll -= xi
+        ll -= 1.0
+        ll *= x.shape[-1]
+    ll[~np.isfinite(ll)] = -np.inf
+    return ll, xi
 
 
 def estimate_zhang_stephens(excesses) -> FitResult:
@@ -275,14 +280,15 @@ def _zhang_stephens_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     w /= w.sum(axis=1, keepdims=True)
     # one BLAS dot per row: a sum along an axis would round differently
     theta = np.matmul(w[:, None, :], theta_grid[:, :, None])[:, 0, 0]
-    xi = np.log1p(theta[:, None] * y).mean(axis=1)
+    t = theta[:, None] * y
+    xi = np.log1p(t, out=t).mean(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         return xi, xi / theta, theta, m
 
 
-def _profile_score(theta: float, x: np.ndarray) -> tuple[float, float]:
+def _profile_score(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Derivative g of the profile log-likelihood with respect to u = log(theta),
-    divided by n, and its derivative dg/du.
+    divided by n, and its derivative dg/du, for one theta per row of ``x``.
 
     With t = theta*x, xi = mean(log1p(t)), d = mean(t/(1+t)) and
     d' = mean(t/(1+t)^2),
@@ -294,15 +300,20 @@ def _profile_score(theta: float, x: np.ndarray) -> tuple[float, float]:
     comparing near-equal log-likelihood values.  Where xi underflows to zero
     g is reported as +inf with slope 0, which sends a root search to bisect.
     """
-    t = theta * x
-    xi = float(np.mean(np.log1p(t)))
-    if xi == 0.0:
-        return math.inf, 0.0
-    q = 1.0 + t
-    r = t / q
-    d = float(np.mean(r))
-    dd = float(np.mean(r / q))
-    return 1.0 - d / xi - d, -(dd * xi - d * d) / (xi * xi) - dd
+    n = x.shape[1]
+    # sum / n rounds exactly as mean does, without its Python overhead
+    t = theta[:, None] * x
+    q = np.log1p(t)
+    xi = q.sum(axis=1) / n
+    q = np.add(t, 1.0, out=q)  # 1 + t, in the buffer of log1p(t)
+    r = np.divide(t, q, out=t)
+    d = r.sum(axis=1) / n
+    dd = np.divide(r, q, out=r).sum(axis=1) / n
+    g = 1.0 - d / xi - d
+    dg = -(dd * xi - d * d) / (xi * xi) - dd
+    zero = xi == 0.0
+    g[zero], dg[zero] = np.inf, 0.0
+    return g, dg
 
 
 def estimate_gpd_mle(excesses) -> FitResult:
@@ -320,7 +331,8 @@ def estimate_gpd_mle(excesses) -> FitResult:
     profile is still rising at the upper end of the scan the maximum does not
     exist (theta diverging); the boundary fit is returned with ``converged``
     set to 0.0 in the diagnostics rather than silently reporting an interior
-    optimum.
+    optimum.  A sample whose mean is so small (below about 1e-304) that
+    1e4/mean(x) overflows has no scan range and fails.
 
     ``optimizer_iterations`` counts the score evaluations of the refinement,
     one per Newton or bisection step; it is 0 when the scan alone decides the
@@ -335,71 +347,91 @@ def estimate_gpd_mle(excesses) -> FitResult:
     xbar = float(x.mean())
     if xbar == 0.0:
         raise EstimationError("GPD MLE is undefined for a sample whose mean underflows to zero")
-    theta_hi = 1e4 / xbar
-    theta_lo = 1e-8 / xbar
-    grid = np.geomspace(theta_lo, theta_hi, 200)
-    ll, _ = _profile_loglik(grid, x)
-    i = int(np.argmax(ll))
-
-    if i == grid.size - 1 and ll[-1] > ll[-2]:
-        xi = float(np.mean(np.log1p(theta_hi * x)))
-        return FitResult(
-            xi,
-            xi / theta_hi,
-            None,
-            EstimatorId.GPD_MLE,
-            {
-                "converged": 0.0,
-                "optimizer_iterations": 0.0,
-                "theta": theta_hi,
-                "profile_loglik": float(ll[-1]),
-            },
-        )
-
-    lo = grid[i - 1] if i > 0 else theta_lo * 1e-6
-    hi = grid[i + 1] if i < grid.size - 1 else theta_hi
-    iters = 0
-    if _profile_score(lo, x)[0] <= 0.0:
-        # falling already at the lower bracket: the maximum sits at the shape
-        # zero boundary (i == 0) or, anomalously, at the scan point itself
-        theta = lo if i == 0 else float(grid[i])
-    elif _profile_score(hi, x)[0] >= 0.0:
-        theta = float(grid[i])
-    else:
-        log_lo, log_hi = math.log(lo), math.log(hi)
-        # a bracket one float wide cannot shrink any further; beyond
-        # |log(theta)| = 512 that width exceeds 1e-13
-        tol = max(1e-13, math.ulp(max(abs(log_lo), abs(log_hi))))
-        u = math.log(grid[i])
-        while log_hi - log_lo > tol:
-            g, dg = _profile_score(math.exp(u), x)
-            iters += 1
-            if g > 0.0:
-                log_lo = u
-            else:
-                log_hi = u
-            step = -g / dg if dg < 0.0 else math.nan
-            u += step
-            if abs(step) <= tol:
-                break
-            if not log_lo < u < log_hi:  # also rejects a NaN step
-                u = 0.5 * (log_lo + log_hi)
-        theta = math.exp(u)
-    xi = float(np.mean(np.log1p(theta * x)))
-    if xi == 0.0:
+    if not math.isfinite(1e4 / xbar):
+        raise EstimationError(f"GPD MLE scan range 1e4/mean(x) overflows at mean(x) = {xbar!r}")
+    xi, theta, converged, iters = (v[0] for v in _gpd_mle_rows(x[None, :]))
+    if converged and xi == 0.0:
         raise EstimationError("GPD MLE produced a degenerate zero estimate")
     return FitResult(
-        xi,
-        xi / theta,
+        float(xi),
+        float(xi / theta),
         None,
         EstimatorId.GPD_MLE,
         {
-            "converged": 1.0,
+            "converged": float(converged),
             "optimizer_iterations": float(iters),
-            "theta": theta,
-            "profile_loglik": float(_profile_loglik(np.array([theta]), x)[0][0]),
+            "theta": float(theta),
+            "profile_loglik": float(_profile_loglik(theta, x)[0][0]),
         },
     )
+
+
+def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Row kernel of :func:`estimate_gpd_mle` on rows of non-negative finite
+    excesses, in sample order, whose mean m has a finite 1e4/m:
+    ``(xi_hat, theta_hat, converged, optimizer_iterations)`` per row.
+
+    The scan and bracket choice run on every row at once, the Newton
+    refinement on the rows still refining, each with its own bracket and
+    stop width.  exp and log of single values use :mod:`math`, as the 1-D
+    solver did: NumPy's vectorized ``exp`` rounds differently.
+    """
+    rows = np.arange(len(x))
+    xbar = x.mean(axis=1)
+    theta_lo, theta_hi = 1e-8 / xbar, 1e4 / xbar
+    grid = np.geomspace(theta_lo, theta_hi, 200, axis=1)
+    ll, _ = _profile_loglik(grid, x)
+    i = ll.argmax(axis=1)
+    last = grid.shape[1] - 1
+    converged = ~((i == last) & (ll[:, -1] > ll[:, -2]))
+    lo = np.where(i > 0, grid[rows, i - 1], theta_lo * 1e-6)
+    hi = np.where(i < last, grid[rows, np.minimum(i + 1, last)], theta_hi)
+    theta = np.where(converged, grid[rows, i], theta_hi)
+    iters = np.zeros(len(x), dtype=int)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        todo = rows[converged]
+        falling = _profile_score(lo[todo], x if converged.all() else x[todo])[0] <= 0.0
+        # falling already at the lower bracket: the maximum sits at the shape
+        # zero boundary (i == 0) or, anomalously, at the scan point itself
+        at_zero = todo[falling & (i[todo] == 0)]
+        theta[at_zero] = lo[at_zero]
+        todo = todo[~falling]
+        # the rest rise at the lower end: refine those not rising at the upper end
+        xs = x if len(todo) == len(x) else x[todo]
+        todo = todo[~(_profile_score(hi[todo], xs)[0] >= 0.0)]
+        # Newton state (log_lo, log_hi, u) and stop width of each refined row
+        state = {
+            r: (math.log(lo[r]), math.log(hi[r]), math.log(theta[r])) for r in todo.tolist()
+        }
+        # a bracket one float wide cannot shrink any further; beyond
+        # |log(theta)| = 512 that width exceeds 1e-13
+        tol = {r: max(1e-13, math.ulp(max(abs(a), abs(b)))) for r, (a, b, _) in state.items()}
+        live = [r for r, (log_lo, log_hi, _) in state.items() if log_hi - log_lo > tol[r]]
+        while live:
+            xs = x if len(live) == len(x) else x[live]
+            g, dg = _profile_score(np.array([math.exp(state[r][2]) for r in live]), xs)
+            iters[live] += 1
+            still = []
+            for r, g_r, dg_r in zip(live, g.tolist(), dg.tolist()):
+                log_lo, log_hi, u = state[r]
+                if g_r > 0.0:
+                    log_lo = u
+                else:
+                    log_hi = u
+                step = -g_r / dg_r if dg_r < 0.0 else math.nan
+                u += step
+                if not abs(step) <= tol[r]:
+                    if not log_lo < u < log_hi:  # also rejects a NaN step
+                        u = 0.5 * (log_lo + log_hi)
+                    if log_hi - log_lo > tol[r]:
+                        still.append(r)
+                state[r] = (log_lo, log_hi, u)
+            live = still
+        for r, (_, _, u) in state.items():
+            theta[r] = math.exp(u)
+        t = theta[:, None] * x
+        xi = np.log1p(t, out=t).mean(axis=1)
+    return xi, theta, converged, iters
 
 
 def estimate_hill(x, k: int) -> FitResult:
@@ -410,12 +442,30 @@ def estimate_hill(x, k: int) -> FitResult:
     which must therefore be positive.  ``mu_hat`` reports the threshold.
     """
     arr = _clean_sample(x)
-    if not isinstance(k, (int, np.integer)) or not 1 <= k < arr.size:
+    if not _is_int(k) or not 1 <= k < arr.size:
         raise ValueError(f"k must satisfy 1 <= k < n = {arr.size}, got {k!r}")
-    part = np.partition(arr, arr.size - k - 1)
-    threshold = float(part[arr.size - k - 1])
+    threshold, top = _top_k(arr, k)
     if threshold <= 0:
         raise ValueError("Hill estimator needs a positive threshold X_(n-k)")
-    # sorted, the top k sum in the same order as in a full sort
-    xi = float(np.mean(np.log(np.sort(part[arr.size - k :]) / threshold)))
-    return FitResult(xi, None, threshold, EstimatorId.HILL, {"k": float(k)})
+    xi = _hill_rows(top[None, :], np.array([threshold]))[0]
+    return FitResult(float(xi), None, float(threshold), EstimatorId.HILL, {"k": float(k)})
+
+
+def _top_k(arr: np.ndarray, k: int) -> tuple[float, np.ndarray]:
+    """X_(n-k) of a 1-D sample and its k largest values, sorted: one
+    partition serves both, and sorted, the top k sum in the same order as in
+    a full sort of the sample."""
+    part = np.partition(arr, arr.size - k - 1)
+    return float(part[arr.size - k - 1]), np.sort(part[arr.size - k :])
+
+
+def _hill_rows(top: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """Row kernel of :func:`estimate_hill`: the mean log-ratio of each row of
+    sorted top values to its threshold."""
+    ratio = top / threshold[:, None]
+    return np.log(ratio, out=ratio).mean(axis=1)
+
+
+def _is_int(value) -> bool:
+    """An integer, but not a bool (which Python counts as one)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)

@@ -10,14 +10,15 @@ across worker processes.
 Scenarios without k follow the excess-over-minimum recipe: the smallest
 observation estimates the support bound and :func:`tailshape.pot.fit_all`
 fits the strictly positive excesses over it (Pareto ML and the transforms the
-original observations).  These replications are batched: a chunk of them is
-drawn into a matrix, one row per stream, and fitted by one stacked
-``fit_all`` call (rows with ties at their minimum, which have fewer excesses,
-stack by their excess count).  A chunk holds an eighth of
-:data:`tailshape.estimators.ELEMENT_BUDGET` values, so memory does not grow
-with m, and every row gets exactly the estimates of a replication fitted
-alone.  Scenarios with k run one replication at a time through
-:func:`tailshape.pot.pot_estimate`.
+original observations).  Scenarios with k follow
+:func:`tailshape.pot.pot_estimate`: each sample is reduced at once to its
+threshold X_(n-k), its excesses over it and its k largest values, which the
+Hill row kernel fits.  Replications are batched: a chunk of them is drawn,
+one row per stream, and fitted by one stacked ``fit_all`` call per excess
+count (ties leave fewer excesses).  A chunk holds an eighth of
+:data:`tailshape.estimators.ELEMENT_BUDGET` values (n per row, or k in POT
+runs, whose samples are never stacked), so memory does not grow with m, and
+every row gets exactly the estimates of a replication fitted alone.
 
 Summaries report MSE, bias (true shape minus average estimate), relative
 efficiency against the asymptotic ML benchmark ``((1 + xi)^2 / n) / MSE`` and
@@ -46,12 +47,14 @@ import numpy as np
 from .distributions import (
     GpdParams,
     RngStream,
+    _check_df,
+    _check_index,
     sample_gpd,
     sample_student_t,
     sample_symmetric_stable,
 )
-from .estimators import ELEMENT_BUDGET, EstimatorId
-from .pot import DEFAULT_POT_ESTIMATORS, PotConfig, fit_all, pot_estimate
+from .estimators import ELEMENT_BUDGET, EstimatorId, _hill_rows, _is_int, _top_k
+from .pot import DEFAULT_POT_ESTIMATORS, fit_all
 
 __all__ = [
     "DEFAULT_SEED",
@@ -122,6 +125,12 @@ class GpdParetoSource:
     mu: float
     xi: float
 
+    def __post_init__(self) -> None:
+        # the tied scale xi * mu is positive only when both are
+        if not (self.mu > 0 and self.xi > 0):
+            raise ValueError(f"mu and xi must be positive reals, got {self.mu} and {self.xi}")
+        self.params  # the GPD checks: finite parameters and scale
+
     @property
     def params(self) -> GpdParams:
         return GpdParams(self.mu, self.xi * self.mu, self.xi)
@@ -144,6 +153,9 @@ class StudentTSource:
     param_name: ClassVar[str] = "df"
     df: float
 
+    def __post_init__(self) -> None:
+        _check_df(self.df)
+
     @property
     def true_xi(self) -> float:
         return 1.0 / self.df
@@ -161,6 +173,9 @@ class StableSource:
 
     param_name: ClassVar[str] = "index"
     index: float
+
+    def __post_init__(self) -> None:
+        _check_index(self.index)
 
     @property
     def true_xi(self) -> float:
@@ -190,19 +205,17 @@ class ExperimentSpec:
     fold_absolute: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, (int, np.integer)) or self.n < 2:
+        if not _is_int(self.n) or self.n < 2:
             raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
-        if not isinstance(self.m, (int, np.integer)) or self.m < 1:
+        if not _is_int(self.m) or self.m < 1:
             raise ValueError(f"m must be a positive integer, got {self.m!r}")
-        if self.k is not None and (
-            not isinstance(self.k, (int, np.integer)) or not 1 <= self.k < self.n
-        ):
+        if self.k is not None and (not _is_int(self.k) or not 1 <= self.k < self.n):
             raise ValueError(f"k must satisfy 1 <= k < n = {self.n}, got {self.k!r}")
         if self.estimators is not None and len(self.estimators) == 0:
             raise ValueError("estimator set must not be empty")
-        if not isinstance(self.seed, (int, np.integer)) or not 0 <= self.seed < 2**64:
+        if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
-        if not isinstance(self.rounds, (int, np.integer)) or self.rounds < 0:
+        if not _is_int(self.rounds) or self.rounds < 0:
             raise ValueError(f"rounds must be a non-negative integer, got {self.rounds!r}")
         if self.k is None and EstimatorId.HILL in self.estimator_set:
             raise ValueError("the Hill estimator needs an exceedance count k")
@@ -269,7 +282,7 @@ def relative_efficiency(mse_value: float, true_xi: float, n: int) -> float:
     Values above one beat the asymptotic maximum-likelihood benchmark.  A zero
     MSE yields an infinite sentinel rather than an error.
     """
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"n must be a positive integer, got {n!r}")
     if mse_value < 0:
         raise ValueError(f"mse must be non-negative, got {mse_value}")
@@ -280,39 +293,92 @@ def relative_efficiency(mse_value: float, true_xi: float, n: int) -> float:
 
 
 def _replicate_range(spec: ExperimentSpec, start: int, stop: int) -> dict[EstimatorId, np.ndarray]:
-    """Estimates for replications [start, stop); slot r uses stream (seed, r)."""
+    """Estimates for replications [start, stop); slot r uses stream (seed, r).
+
+    A chunk of replications is drawn at once, one row per replication, and
+    its rows are fitted by one :func:`tailshape.pot.fit_all` call per excess
+    count (rows with ties have fewer excesses).  About eight (rows x width)
+    arrays are alive while a chunk is fitted, where the width is n, or k in
+    peaks-over-threshold runs, so a chunk holds an eighth of the element
+    budget.
+    """
     slots = {est: np.full(stop - start, np.nan) for est in spec.estimator_set}
-    if spec.k is not None:
-        cfg = PotConfig(spec.k, spec.estimator_set, fold_absolute=spec.fold_absolute)
-        for offset, r in enumerate(range(start, stop)):
-            x = spec.source.sample(spec.n, RngStream(spec.seed, r))
-            try:
-                fits = pot_estimate(x, cfg).fits
-            except ValueError:  # fewer than 2 exceedances: every estimate fails
-                continue
-            for est, fit in fits.items():
-                if fit.diagnostics.get("converged", 1.0):
-                    slots[est][offset] = fit.xi_hat
-        return slots
-    # about eight (rows x n) arrays are alive while a chunk is fitted, so a
-    # chunk holds an eighth of the element budget
-    chunk = max(1, ELEMENT_BUDGET // (8 * spec.n))
+    plan = [est for est in spec.estimator_set if est is not EstimatorId.HILL]
+    pot = spec.k is not None
+    chunk = max(1, ELEMENT_BUDGET // (8 * (spec.k if pot else spec.n)))
     for a in range(start, stop, chunk):
-        b = min(a + chunk, stop)
-        x = np.stack([spec.source.sample(spec.n, RngStream(spec.seed, r)) for r in range(a, b)])
-        mu_hat = x.min(axis=1)
-        above = x > mu_hat[:, None]
-        count = above.sum(axis=1)
-        # rows with ties at the minimum have fewer excesses: rows stack by count
+        reps = range(a, min(a + chunk, stop))
+        rows_at = a - start
+        if pot:
+            count, stack, hill = _draw_pot(spec, reps)
+            if EstimatorId.HILL in slots:
+                slots[EstimatorId.HILL][rows_at : rows_at + len(reps)] = hill
+        else:
+            count, stack = _draw_minimum(spec, reps)
         for width in dict.fromkeys(count.tolist()):
+            if pot and width < 2:  # pot_estimate fails the whole replication
+                continue
             rows = np.flatnonzero(count == width)
-            xs = x if rows.size == len(x) else x[rows]
-            exc = xs[above[rows]].reshape(rows.size, width)
-            exc -= mu_hat[rows, None]
-            fits = fit_all(xs, mu_hat[rows], exc, spec.estimator_set, spec.rounds)
-            for est, xi in fits.items():
-                slots[est][a - start + rows] = xi
+            # pot_estimate runs no refresh rounds
+            for est, xi in fit_all(*stack(rows, width), plan, 0 if pot else spec.rounds).items():
+                slots[est][rows_at + rows] = xi
     return slots
+
+
+def _draw_minimum(spec: ExperimentSpec, reps: range):
+    """Draw replications ``reps`` for the excess-over-minimum recipe: each
+    row's excess count and ``stack(rows, width)``, the ``fit_all`` arguments
+    ``(x, minimum, excesses over it)`` of rows with that count (sample order
+    kept)."""
+    x = np.stack([spec.source.sample(spec.n, RngStream(spec.seed, r)) for r in reps])
+    mu_hat = x.min(axis=1)
+    above = x > mu_hat[:, None]
+
+    def stack(rows, width):
+        xs = x if rows.size == len(x) else x[rows]
+        exc = xs[above[rows]].reshape(rows.size, width)
+        exc -= mu_hat[rows, None]
+        return xs, mu_hat[rows], exc
+
+    return above.sum(axis=1), stack
+
+
+def _draw_pot(spec: ExperimentSpec, reps: range):
+    """Draw replications ``reps`` for the peaks-over-threshold recipe of
+    :func:`tailshape.pot.pot_estimate`: each row's excess count, ``stack(rows,
+    width)`` as in :func:`_draw_minimum` with the smallest excess as support,
+    and each row's Hill estimate.
+
+    Each sample is drawn, folded if asked, and reduced at once to its
+    threshold X_(n-k), its excesses over it (sample order kept) and its k
+    largest values, so only (rows x k) arrays are kept.  Hill is NaN where
+    ``estimate_hill`` would fail (a non-finite sample or a threshold that is
+    not positive) or the row has fewer than 2 excesses.
+    """
+    threshold = np.empty(len(reps))
+    finite = np.empty(len(reps), dtype=bool)
+    count = np.empty(len(reps), dtype=int)
+    # row i holds its count[i] excesses first; at most k values exceed X_(n-k)
+    excesses, top = np.empty((len(reps), spec.k)), np.empty((len(reps), spec.k))
+    for row, r in enumerate(reps):
+        x = spec.source.sample(spec.n, RngStream(spec.seed, r))
+        if spec.fold_absolute:
+            x = np.abs(x)
+        threshold[row], top[row] = _top_k(x, spec.k)
+        above = x[x > threshold[row]]
+        count[row] = above.size
+        np.subtract(above, threshold[row], out=excesses[row, : above.size])
+        finite[row] = np.isfinite(x).all()
+
+    def stack(rows, width):
+        whole = width == spec.k and rows.size == len(reps)
+        exc = excesses if whole else excesses[rows, :width]
+        return exc, exc.min(axis=1), exc
+
+    with np.errstate(all="ignore"):
+        hill = _hill_rows(top, threshold)
+    hill[~(finite & (threshold > 0) & (count >= 2))] = np.nan
+    return count, stack, hill
 
 
 def _summarize(spec: ExperimentSpec, estimator: EstimatorId, slot: np.ndarray) -> ReplicationSummary:
@@ -348,7 +414,7 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ReplicationSu
     placed into per-replication slots, so the summaries are bit-identical for
     any worker count or scheduling order.
     """
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
+    if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     if workers == 1 or spec.m < 4:
         slots = _replicate_range(spec, 0, spec.m)

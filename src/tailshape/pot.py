@@ -9,7 +9,9 @@ non-exceedances).  The plan runs on the k strictly positive excesses with the
 smallest excess as the support estimate; the Hill estimator runs on the raw
 sample with the same k.  Only the upper tail is used; observations are never
 folded by absolute value (symmetric sources contribute through their largest
-values only) unless ``fold_absolute`` is requested explicitly.
+values only) unless ``fold_absolute`` is requested explicitly.  The
+replication engine runs the same pipeline on stacks of samples through the
+row kernels (:mod:`tailshape.montecarlo`).
 """
 
 from __future__ import annotations
@@ -23,8 +25,11 @@ from .estimators import (
     EstimatorId,
     FitResult,
     PlottingPosition,
+    _gpd_mle_rows,
+    _is_int,
     _pareto_ml_rows,
     _pwm_rows,
+    _top_k,
     _zhang_stephens_rows,
     estimate_gpd_mle,
     estimate_hill,
@@ -61,7 +66,7 @@ class PotConfig:
     fold_absolute: bool = False
 
     def __post_init__(self) -> None:
-        if not isinstance(self.k, (int, np.integer)) or self.k < 1:
+        if not _is_int(self.k) or self.k < 1:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if not self.estimators:
             raise ValueError("estimator set must not be empty")
@@ -81,9 +86,9 @@ def select_threshold(x, k: int) -> float:
     """The (n-k)-th order statistic (ascending, 1-indexed) of the sample."""
     arr = np.asarray(x, dtype=float).ravel()
     n = arr.size
-    if not isinstance(k, (int, np.integer)) or not 1 <= k < n:
+    if not _is_int(k) or not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n = {n}, got {k!r}")
-    return float(np.partition(arr, n - k - 1)[n - k - 1])
+    return _top_k(arr, k)[0]
 
 
 def excesses(x, threshold: float) -> np.ndarray:
@@ -142,19 +147,22 @@ class _RowFits:
         return FitResult(float(self.xi[i]), float(self.sigma[i]), None, estimator)
 
 
-def _kernel_fits(base: EstimatorId, x: np.ndarray, srt: np.ndarray):
+def _kernel_fits(base: EstimatorId, x: np.ndarray, exc: np.ndarray, srt: np.ndarray):
     """``(xi, sigma, ok)`` over a stack from the row kernel of ``base``, with
     ``srt`` the sorted excesses: the estimates of every row, and the rows
     whose estimates the 1-D estimator returns unchanged (the other rows hold
-    meaningless values).  No row is kept where the kernel does not apply."""
+    meaningless values).  GPD ML estimates are NaN where the fit did not
+    converge.  No row is kept where the kernel does not apply."""
     rows = len(x)
-    if base is EstimatorId.GPD_MLE or (base is not EstimatorId.PARETO_ML and srt.shape[1] < 2):
+    if base is not EstimatorId.PARETO_ML and srt.shape[1] < 2:
         return np.full(rows, np.nan), np.full(rows, np.nan), np.zeros(rows, dtype=bool)
     with np.errstate(all="ignore"):
         if base is EstimatorId.PARETO_ML:
             xi, mu = _pareto_ml_rows(x)
             return xi, np.full(rows, np.nan), (mu > 0) & np.isfinite(xi)
         ok = (srt[:, 0] >= 0) & (srt[:, -1] < np.inf)  # non-negative and finite; NaN sorts last
+        if base is EstimatorId.GPD_MLE:
+            return _gpd_mle_fits(exc, ok)
         if base is EstimatorId.ZHANG_STEPHENS:
             xi, sigma, _, _ = _zhang_stephens_rows(srt)
             ok &= srt[:, -1] > 0  # a zero xi_hat fails through sigma_hat = 0
@@ -162,6 +170,21 @@ def _kernel_fits(base: EstimatorId, x: np.ndarray, srt: np.ndarray):
             xi, sigma, _, _, denom = _pwm_rows(srt, PlottingPosition())
             ok &= denom > 0
     return xi, sigma, ok & np.isfinite(xi) & np.isfinite(sigma) & (sigma > 0)
+
+
+def _gpd_mle_fits(exc: np.ndarray, ok: np.ndarray):
+    """:func:`_kernel_fits` of GPD ML on the excesses in sample order, with
+    ``ok`` the rows that are non-negative and finite.  Only rows with a scan
+    range (a positive mean m with a finite 1e4/m) enter the kernel; a
+    converged fit stands where its shape is non-zero and its scale positive."""
+    xi, sigma = np.full(len(exc), np.nan), np.full(len(exc), np.nan)
+    xbar = exc.mean(axis=1)
+    ok &= (xbar < np.inf) & (1e4 / xbar < np.inf)
+    fit, theta, converged, _ = _gpd_mle_rows(exc if ok.all() else exc[ok])
+    fit[~converged] = np.nan
+    xi[ok], sigma[ok] = fit, fit / theta
+    ok[ok] = ~converged | ((fit != 0.0) & (sigma[ok] > 0) & (sigma[ok] < np.inf))
+    return xi, sigma, ok
 
 
 def fit_all(
@@ -179,10 +202,11 @@ def fit_all(
     ``support`` of shape (r,) hold r samples, one per row.  The result maps
     each estimator to the r shape estimates, NaN where that row's fit failed
     or GPD ML did not converge, so a failure fails only its row.  Each row
-    gets exactly the estimate of a 1-D call on it: the row kernels fit the
+    gets exactly the estimate of a 1-D call on it: the row kernels (GPD ML's
+    on the excesses in their given order, which its averages follow) fit the
     whole stack, and a row whose kernel fit would not stand unchanged runs
-    the 1-D estimator, which is the same kernel on one row.  So does every
-    GPD ML row, and the one row of a 1-D call.
+    the 1-D estimator, which is the same kernel on one row.  So does the one
+    row of a 1-D call.
     """
     if EstimatorId.HILL in wanted:
         raise ValueError("the Hill estimator needs the raw sample and k; use pot_estimate")
@@ -205,7 +229,7 @@ def fit_all(
         base, name = _INITIAL.get(estimator, (estimator, ""))
         if base not in fits:
             fitter, data = one_row[base]
-            kernel = None if single else _kernel_fits(base, x, srt)
+            kernel = None if single else _kernel_fits(base, x, exc, srt)
             fits[base] = _RowFits(rows, kernel, lambda i: _attempt(fitter, data[i]))
         if base is estimator:
             continue

@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .estimators import EstimatorId, FitResult, _pareto_ml_rows, estimate_pareto_ml
+from .estimators import EstimatorId, FitResult, _is_int, _pareto_ml_rows, estimate_pareto_ml
 
 __all__ = [
     "TransformForm",
@@ -188,7 +188,7 @@ def iterate_transform(x, initial: FitResult, mu_hat: float, rounds: int) -> FitR
     would clamp wholesale and sit at the same fixed point).  The default used
     by the replication harness is zero rounds.
     """
-    if not isinstance(rounds, (int, np.integer)) or rounds < 0:
+    if not _is_int(rounds) or rounds < 0:
         raise ValueError(f"rounds must be a non-negative integer, got {rounds!r}")
     fit = transformed_shape_estimate(x, initial, mu_hat)
     done = 0

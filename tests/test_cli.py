@@ -106,6 +106,13 @@ class TestEstimate:
         assert code == 2
         assert "exceedances" in err
 
+    def test_undecodable_data_file_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.dat"
+        path.write_bytes(b"1.0\n\xff2.0\n3.0\n")
+        code, _, err = run(capsys, "estimate", "--data", str(path), "--method", "zs")
+        assert code == 2
+        assert str(path) in err
+
     def test_numerical_failure_exit_code(self, capsys, tmp_path):
         path = write(tmp_path / "neg.dat", "-1.0\n2.0\n3.0\n")
         code, _, err = run(capsys, "estimate", "--data", path, "--method", "pareto-ml")
@@ -184,6 +191,13 @@ class TestQuantile:
         path = write(tmp_path / "fit.json", "{not json")
         code, _, _ = run(capsys, "quantile", "--fit", path, "--p", "0.5")
         assert code == 2
+
+    def test_undecodable_fit_file_is_data_error(self, capsys, tmp_path):
+        path = tmp_path / "fit.json"
+        path.write_bytes(b'{"mu_hat": 1\xff}')
+        code, _, err = run(capsys, "quantile", "--fit", str(path), "--p", "0.5")
+        assert code == 2
+        assert str(path) in err
 
     def test_unknown_form_in_fit_file_is_data_error(self, capsys, tmp_path):
         path = write(
@@ -290,6 +304,26 @@ class TestSimulate:
         assert code == 1
         assert "xi" in err
 
+    @pytest.mark.parametrize(
+        "source",
+        ["student-t\ndf = -1", "stable\nindex = 3", "gpd-pareto\nmu = -1\nxi = 0.5"],
+        ids=["student-t", "stable", "gpd-pareto"],
+    )
+    def test_invalid_source_parameter_is_config_error(self, capsys, tmp_path, source):
+        # exited 3 when the first replication sampled
+        config = write(tmp_path / "bad.cfg", f"[scenario]\nsource = {source}\nn = 10\nm = 2\n")
+        code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert f"{config}:1" in err
+
+    def test_undecodable_config_is_config_error(self, capsys, tmp_path):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"[scenario]\xff\n")
+        out = str(tmp_path / "x")
+        code, _, err = run(capsys, "simulate", "--config", str(config), "--out", out)
+        assert code == 1
+        assert str(config) in err
+
     def test_unknown_key_rejected(self, capsys, tmp_path):
         config = write(tmp_path / "bad.cfg", SCENARIO_CONFIG + "bogus = 1\n")
         code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path / "x"))
@@ -348,6 +382,15 @@ class TestUsage:
         path = write(tmp_path / "d.dat", "1.0\n2.0\n")
         code, _, _ = run(capsys, "estimate", "--data", path, "--method", "bogus")
         assert code == 1
+
+    def test_unexpected_value_error_is_not_a_numerical_failure(self, monkeypatch, gpd_file):
+        # exit 3 is for estimation failures; any other ValueError is a defect
+        def broken(path):
+            raise ValueError("not an estimation failure")
+
+        monkeypatch.setattr("tailshape.cli.read_data_file", broken)
+        with pytest.raises(ValueError, match="not an estimation failure"):
+            main(["estimate", "--data", gpd_file, "--method", "zs"])
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1

@@ -27,7 +27,7 @@ from tailshape import (
     sample_symmetric_stable,
 )
 from tailshape import fit_all
-from tailshape.estimators import _profile_loglik
+from tailshape.estimators import _gpd_mle_rows, _profile_loglik
 from tailshape.pot import excesses, select_threshold
 
 
@@ -309,6 +309,156 @@ class TestGpdMleNewton:
         assert fit.xi_hat == pytest.approx(estimate_gpd_mle(x * 1e266).xi_hat, abs=1e-9)
 
 
+def _scalar_profile_score(theta, x):
+    """The profile score and its slope as the 1-D solver computed them."""
+    t = theta * x
+    xi = float(np.mean(np.log1p(t)))
+    if xi == 0.0:
+        return math.inf, 0.0
+    q = 1.0 + t
+    r = t / q
+    d = float(np.mean(r))
+    dd = float(np.mean(r / q))
+    return 1.0 - d / xi - d, -(dd * xi - d * d) / (xi * xi) - dd
+
+
+def _scalar_profile_loglik(theta, x):
+    """The profile log-likelihood at the points ``theta`` as the 1-D solver
+    computed it, invalid points mapped to -inf."""
+    xi = np.log1p(np.multiply.outer(theta, x)).mean(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ll = x.size * (np.log(theta / xi) - xi - 1.0)
+    return np.where(np.isfinite(ll), ll, -np.inf)
+
+
+def _scalar_gpd_mle(excesses):
+    """Oracle: estimate_gpd_mle as written before its row kernel (one sample,
+    Python floats), for samples whose mean has a finite 1e4/mean."""
+    x = np.asarray(excesses, dtype=float)
+    xbar = float(x.mean())
+    theta_hi = 1e4 / xbar
+    theta_lo = 1e-8 / xbar
+    grid = np.geomspace(theta_lo, theta_hi, 200)
+    ll = _scalar_profile_loglik(grid, x)
+    i = int(np.argmax(ll))
+    if i == grid.size - 1 and ll[-1] > ll[-2]:
+        xi = float(np.mean(np.log1p(theta_hi * x)))
+        return FitResult(xi, xi / theta_hi, None, EstimatorId.GPD_MLE, {
+            "converged": 0.0,
+            "optimizer_iterations": 0.0,
+            "theta": theta_hi,
+            "profile_loglik": float(ll[-1]),
+        })
+    lo = grid[i - 1] if i > 0 else theta_lo * 1e-6
+    hi = grid[i + 1] if i < grid.size - 1 else theta_hi
+    iters = 0
+    if _scalar_profile_score(lo, x)[0] <= 0.0:
+        theta = lo if i == 0 else float(grid[i])
+    elif _scalar_profile_score(hi, x)[0] >= 0.0:
+        theta = float(grid[i])
+    else:
+        log_lo, log_hi = math.log(lo), math.log(hi)
+        tol = max(1e-13, math.ulp(max(abs(log_lo), abs(log_hi))))
+        u = math.log(grid[i])
+        while log_hi - log_lo > tol:
+            g, dg = _scalar_profile_score(math.exp(u), x)
+            iters += 1
+            if g > 0.0:
+                log_lo = u
+            else:
+                log_hi = u
+            step = -g / dg if dg < 0.0 else math.nan
+            u += step
+            if abs(step) <= tol:
+                break
+            if not log_lo < u < log_hi:
+                u = 0.5 * (log_lo + log_hi)
+        theta = math.exp(u)
+    xi = float(np.mean(np.log1p(theta * x)))
+    if xi == 0.0:
+        raise EstimationError("GPD MLE produced a degenerate zero estimate")
+    return FitResult(xi, xi / theta, None, EstimatorId.GPD_MLE, {
+        "converged": 1.0,
+        "optimizer_iterations": float(iters),
+        "theta": theta,
+        "profile_loglik": float(_scalar_profile_loglik(np.array([theta]), x)[0]),
+    })
+
+
+def _outcome(fitter, x):
+    """A fit as comparable text: every FitResult field in full precision, or
+    the error it raised."""
+    try:
+        fit = fitter(x)
+    except (ValueError, EstimationError) as err:
+        return f"{type(err).__name__}: {err}"
+    return repr((fit.xi_hat, fit.sigma_hat, sorted(fit.diagnostics.items())))
+
+
+@st.composite
+def gpd_stacks(draw):
+    """Equal-length rows of non-negative excesses: spread; zero-inflated, whose
+    profile can rise to the end of the scan (divergence); short-tailed, whose
+    maximum sits at the xi -> 0 end of the scan; or nearly constant; each at
+    scale 1, 1e-266 or 1e250."""
+    width = draw(st.integers(min_value=2, max_value=40))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=6))):
+        kind = draw(st.sampled_from(["spread", "zeros", "short", "flat"]))
+        if kind == "spread":
+            row = draw(st.lists(st.floats(1e-3, 1e3), min_size=width, max_size=width))
+        elif kind == "zeros":
+            values = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0])
+            row = draw(st.lists(values, min_size=width - 1, max_size=width - 1))
+            row.append(draw(st.floats(0.5, 5.0)))
+        elif kind == "short":
+            start = draw(st.floats(0.0, 10.0))
+            row = np.linspace(start, start + draw(st.floats(0.1, 10.0)), width).tolist()
+        else:
+            base = draw(st.floats(1e-3, 1e3))
+            row = [base * (1.0 + draw(st.floats(0.0, 1e-6))) for _ in range(width)]
+        rows.append(np.array(row) * draw(st.sampled_from([1.0, 1e-266, 1e250])))
+    return np.stack(rows)
+
+
+class TestGpdMleRowKernel:
+    """The GPD ML row kernel against the 1-D solver it replaced."""
+
+    def _check(self, stack):
+        xi, theta, converged, iterations = _gpd_mle_rows(stack)
+        for i, row in enumerate(stack):
+            expected = _outcome(_scalar_gpd_mle, row)
+            assert _outcome(estimate_gpd_mle, row) == expected
+            try:
+                fit = _scalar_gpd_mle(row)
+            except (ValueError, EstimationError):
+                continue  # the kernel row is that of the failing 1-D fit above
+            d = fit.diagnostics
+            row_fit = (xi[i], xi[i] / theta[i], theta[i], converged[i], iterations[i])
+            assert repr(tuple(float(v) for v in row_fit)) == repr(
+                (fit.xi_hat, fit.sigma_hat, d["theta"], d["converged"], d["optimizer_iterations"])
+            )
+        return converged, theta * stack.mean(axis=1), iterations
+
+    @settings(max_examples=300, deadline=None)
+    @given(gpd_stacks())
+    def test_stack_equals_one_sample_fits(self, stack):
+        self._check(stack)
+
+    def test_each_branch_at_every_scale(self):
+        rows = [
+            sample_gpd(GpdParams(0.0, 1.0, 0.5), 20, RngStream(40, 0)),  # interior root
+            np.array([0.0, 0.0, 1.0, 2.0] * 5),  # still rising at the end of the scan
+            np.linspace(1.0, 2.0, 20),  # short-tailed: maximum at the xi -> 0 end
+        ]
+        stack = np.concatenate([np.stack(rows) * scale for scale in (1.0, 1e-266, 1e250)])
+        converged, theta_times_mean, iterations = self._check(stack)
+        assert converged.tolist() == [True, False, True] * 3
+        assert (iterations[::3] > 0).all()
+        # the xi -> 0 end of the scan is theta = 1e-14 / mean(x)
+        assert theta_times_mean[2::3] == pytest.approx([1e-14] * 3, rel=1e-12)
+
+
 class TestHill:
     def test_hand_case(self):
         fit = estimate_hill([1.0, 2.0, 4.0, 8.0], 3)
@@ -410,3 +560,9 @@ class TestGpdMleUnderflow:
             estimate_gpd_mle([0.0, 5e-324])
         x = np.array([0.0, 5e-324])
         assert isinstance(fit_all(x, 0.0, x, (EstimatorId.GPD_MLE,))[EstimatorId.GPD_MLE], str)
+
+    def test_mean_without_a_scan_range_is_an_estimation_error(self):
+        # 1e4 / mean(x) overflows: the scan had no range and reported a
+        # converged fit with profile_loglik = -inf
+        with pytest.raises(EstimationError, match="overflows"):
+            estimate_gpd_mle([0.0, 1e-310])

@@ -80,6 +80,30 @@ class TestExperimentSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(src, n=10, rounds=-1)
 
+    @pytest.mark.parametrize("field", ["k", "m", "seed", "rounds"])
+    def test_bool_is_not_an_integer(self, field):
+        # bool subclasses int, so True would pass for 1
+        values = {"n": 10, "m": 5, "k": 3, "seed": 1, "rounds": 0, field: True}
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec(StudentTSource(3.0), **values)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: StudentTSource(-1.0),
+            lambda: StudentTSource(math.nan),
+            lambda: StableSource(3.0),
+            lambda: StableSource(0.0),
+            lambda: GpdParetoSource(-1.0, 0.5),
+            lambda: GpdParetoSource(1.0, -0.5),
+        ],
+        ids=["t-df-negative", "t-df-nan", "stable-3", "stable-0", "pareto-mu", "pareto-xi"],
+    )
+    def test_sources_reject_invalid_parameters(self, make):
+        # rejected when built, not when the first replication samples
+        with pytest.raises(ValueError):
+            make()
+
     def test_hill_needs_k(self):
         src = GpdSource(GpdParams(1.0, 1.0, 0.5))
         with pytest.raises(ValueError):

@@ -18,6 +18,8 @@ from tailshape import (
     ParetoParams,
     PotConfig,
     RngStream,
+    StudentTSource,
+    estimate_hill,
     estimate_pareto_ml,
     excesses,
     fit_all,
@@ -48,6 +50,22 @@ class TestSelectThreshold:
         for k in (10, 100, 500):
             u = select_threshold(x, k)
             assert int(np.sum(x > u)) == k
+
+
+class TestBoolIsNotAnInteger:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: PotConfig(True),
+            lambda: select_threshold([1.0, 2.0, 3.0], True),
+            lambda: estimate_hill([1.0, 2.0, 3.0], True),
+        ],
+        ids=["PotConfig", "select_threshold", "estimate_hill"],
+    )
+    def test_rejected(self, call):
+        # bool subclasses int, so True would pass for k = 1
+        with pytest.raises(ValueError):
+            call()
 
 
 class TestExcesses:
@@ -345,6 +363,24 @@ class TestFitAllStack:
         assert np.isnan(stacked[EstimatorId.TRANSFORMED_PWM][3])
         assert np.isnan(stacked[EstimatorId.TRANSFORMED_ZS][3])
 
+    def test_gpd_rows_without_a_fit_fail_alone(self):
+        exc = np.array([
+            [0.5, 1.0, 4.0],
+            [0.0, 0.0, 5e-324],  # the mean underflows to zero
+            [0.0, 0.0, 0.0],
+            [0.0, 1e-310, 0.0],  # 1e4 / mean overflows
+            [1.7e308, 1.7e308, 1.0],  # the sum overflows
+            [-1.0, 2.0, 3.0],
+            [2.0, 0.25, 7.0],
+        ])
+        stacked = fit_all(exc, exc.min(axis=1), exc, (EstimatorId.GPD_MLE,))[EstimatorId.GPD_MLE]
+        assert np.isfinite(stacked[[0, 6]]).all() and np.isnan(stacked[1:6]).all()
+        for i, row in enumerate(exc):
+            one = fit_all(row, float(row.min()), row, (EstimatorId.GPD_MLE,))[EstimatorId.GPD_MLE]
+            assert isinstance(one, FitResult) == (i in (0, 6))
+            if i in (0, 6):
+                assert _bits(stacked[i]) == _bits(one.xi_hat)
+
 
 @dataclass(frozen=True)
 class _RoundedGpd:
@@ -359,6 +395,58 @@ class _RoundedGpd:
 
     def sample(self, n, rng):
         return np.round(sample_gpd(GpdParams(1.0, 1.0, self.xi), n, rng), 1)
+
+
+@dataclass(frozen=True)
+class _RoundedT:
+    """Student t source rounded to whole numbers, so samples tie at their
+    threshold and leave fewer than k, or fewer than 2, excesses."""
+
+    param_name: ClassVar[str] = "df"
+    df: float
+
+    @property
+    def true_xi(self) -> float:
+        return 1.0 / self.df
+
+    def sample(self, n, rng):
+        return np.round(sample_student_t(self.df, n, rng))
+
+
+@dataclass(frozen=True)
+class _SpikedT:
+    """Student t source with one value, at a random place, replaced by inf,
+    -inf or nan, so Hill fails on the whole sample."""
+
+    param_name: ClassVar[str] = "df"
+    df: float
+
+    @property
+    def true_xi(self) -> float:
+        return 1.0 / self.df
+
+    def sample(self, n, rng):
+        x = sample_student_t(self.df, n, rng)
+        x[rng.generator.integers(n)] = rng.generator.choice([np.inf, -np.inf, np.nan])
+        return x
+
+
+POT_ESTIMATORS = PLAN_ESTIMATORS + (EstimatorId.HILL,)
+
+
+def _pot_slots(spec):
+    """Each replication's converged-filtered pot_estimate, NaN where it failed."""
+    expected = {e: np.full(spec.m, np.nan) for e in spec.estimator_set}
+    cfg = PotConfig(spec.k, spec.estimator_set, fold_absolute=spec.fold_absolute)
+    for r in range(spec.m):
+        try:
+            fits = pot_estimate(spec.source.sample(spec.n, RngStream(spec.seed, r)), cfg).fits
+        except ValueError:  # fewer than 2 exceedances
+            continue
+        for estimator, fit in fits.items():
+            if fit.diagnostics.get("converged", 1.0):
+                expected[estimator][r] = fit.xi_hat
+    return expected
 
 
 def _slots_equal(a, b):
@@ -403,3 +491,46 @@ class TestBatchedReplication:
                 if isinstance(fit, FitResult) and fit.diagnostics.get("converged", 1.0):
                     expected[estimator][r] = fit.xi_hat
         _slots_equal(whole, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([StudentTSource(3.0), _RoundedT(30.0), _RoundedT(2.0), _SpikedT(3.0)]),
+        st.integers(min_value=3, max_value=60),
+        st.integers(min_value=1, max_value=25),
+        st.lists(st.integers(min_value=1, max_value=24), max_size=4),
+        st.sampled_from([None, 60, 2000]),
+        st.booleans(),
+        st.data(),
+    )
+    def test_pot_any_split_gives_the_same_slots(self, source, n, m, cuts, budget, fold, data):
+        k = data.draw(st.integers(min_value=1, max_value=n - 1))
+        spec = ExperimentSpec(
+            source, n=n, m=m, k=k, estimators=POT_ESTIMATORS, seed=7, fold_absolute=fold
+        )
+        bounds = sorted({0, m, *(c for c in cuts if c < m)})
+        with pytest.MonkeyPatch.context() as patch:
+            if budget is not None:
+                patch.setattr(montecarlo, "ELEMENT_BUDGET", budget)
+            whole = montecarlo._replicate_range(spec, 0, m)
+            parts = [montecarlo._replicate_range(spec, a, b) for a, b in zip(bounds, bounds[1:])]
+        _slots_equal(whole, {e: np.concatenate([p[e] for p in parts]) for e in whole})
+        _slots_equal(whole, _pot_slots(spec))
+
+    @pytest.mark.parametrize("fold", [True, False])
+    def test_pot_ties_at_the_threshold(self, fold):
+        spec = ExperimentSpec(
+            _RoundedT(30.0), n=30, m=30, k=5, estimators=POT_ESTIMATORS, seed=7, fold_absolute=fold
+        )
+        counts = []
+        for r in range(spec.m):
+            x = spec.source.sample(spec.n, RngStream(spec.seed, r))
+            x = np.abs(x) if fold else x
+            counts.append(int(np.sum(x > select_threshold(x, spec.k))))
+        # rows with k, with 2 to k - 1 and with fewer than 2 excesses
+        assert spec.k in counts
+        assert any(2 <= c < spec.k for c in counts) and any(c < 2 for c in counts)
+        slots = montecarlo._replicate_range(spec, 0, spec.m)
+        _slots_equal(slots, _pot_slots(spec))
+        failed = np.array(counts) < 2
+        for estimator in POT_ESTIMATORS:
+            assert np.isnan(slots[estimator][failed]).all()
