@@ -4,144 +4,24 @@ Estimates the shape parameter of the generalized Pareto distribution (GPD),
 including via the transformation of GPD observations to Pareto Type I
 variables, and benchmarks the estimators with a seeded Monte Carlo harness
 and a peaks-over-threshold pipeline.
+
+The package re-exports the public names of its modules; each module's
+``__all__`` is the one list of them.
 """
 
-from .distributions import (
-    GpdParams,
-    ParetoParams,
-    RngStream,
-    gpd_cdf,
-    gpd_pdf,
-    gpd_quantile,
-    gpd_sf,
-    pareto_cdf,
-    pareto_pdf,
-    pareto_quantile,
-    pareto_sf,
-    sample_gpd,
-    sample_pareto,
-    sample_student_t,
-    sample_symmetric_stable,
-)
-from .estimators import (
-    EstimationError,
-    EstimatorId,
-    FitResult,
-    PlottingPosition,
-    PwmSingularityError,
-    estimate_gpd_mle,
-    estimate_hill,
-    estimate_pareto_ml,
-    estimate_pwm,
-    estimate_zhang_stephens,
-)
-from .montecarlo import (
-    DEFAULT_GPD_ESTIMATORS,
-    DEFAULT_SEED,
-    ExperimentResult,
-    ExperimentSpec,
-    GpdParetoSource,
-    GpdSource,
-    MissingCellError,
-    ReplicationSummary,
-    StableSource,
-    StudentTSource,
-    TableDocument,
-    TableLayout,
-    TABLE_LAYOUTS,
-    bias,
-    emit_table,
-    mse,
-    read_table_csv,
-    relative_efficiency,
-    run_experiment,
-    run_experiments,
-    summaries_document,
-    table_specs,
-)
-from .pot import (
-    DEFAULT_POT_ESTIMATORS,
-    PotConfig,
-    PotResult,
-    excesses,
-    fit_all,
-    pot_estimate,
-    select_threshold,
-)
-from .transform import (
-    TransformForm,
-    TransformOutcome,
-    TransformSpec,
-    gpd_cdf_via_transform,
-    gpd_quantile_via_transform,
-    iterate_transform,
-    to_pareto,
-    transformed_shape_estimate,
-)
+from . import distributions, estimators, montecarlo, pot, transform
+from .distributions import *  # noqa: F403
+from .estimators import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .pot import *  # noqa: F403
+from .transform import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "GpdParams",
-    "ParetoParams",
-    "RngStream",
-    "gpd_pdf",
-    "gpd_cdf",
-    "gpd_sf",
-    "gpd_quantile",
-    "sample_gpd",
-    "pareto_pdf",
-    "pareto_cdf",
-    "pareto_sf",
-    "pareto_quantile",
-    "sample_pareto",
-    "sample_student_t",
-    "sample_symmetric_stable",
-    "EstimatorId",
-    "EstimationError",
-    "PwmSingularityError",
-    "FitResult",
-    "PlottingPosition",
-    "estimate_pareto_ml",
-    "estimate_pwm",
-    "estimate_zhang_stephens",
-    "estimate_gpd_mle",
-    "estimate_hill",
-    "TransformForm",
-    "TransformSpec",
-    "TransformOutcome",
-    "to_pareto",
-    "transformed_shape_estimate",
-    "iterate_transform",
-    "gpd_quantile_via_transform",
-    "gpd_cdf_via_transform",
-    "PotConfig",
-    "PotResult",
-    "DEFAULT_POT_ESTIMATORS",
-    "select_threshold",
-    "excesses",
-    "fit_all",
-    "pot_estimate",
-    "DEFAULT_SEED",
-    "DEFAULT_GPD_ESTIMATORS",
-    "GpdSource",
-    "GpdParetoSource",
-    "StudentTSource",
-    "StableSource",
-    "ExperimentSpec",
-    "ReplicationSummary",
-    "ExperimentResult",
-    "mse",
-    "bias",
-    "relative_efficiency",
-    "run_experiment",
-    "run_experiments",
-    "table_specs",
-    "TableLayout",
-    "TABLE_LAYOUTS",
-    "TableDocument",
-    "MissingCellError",
-    "emit_table",
-    "summaries_document",
-    "read_table_csv",
+    *distributions.__all__,
+    *estimators.__all__,
+    *transform.__all__,
+    *pot.__all__,
+    *montecarlo.__all__,
 ]

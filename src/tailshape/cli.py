@@ -328,6 +328,17 @@ def _cmd_simulate(args) -> int:
     columns = None
     for label, specs in groups:
         results = run_experiments(specs, workers=args.threads)
+        for cell, result in enumerate(results, start=1):
+            spec, param = result.spec, result.spec.source.param_name
+            for s in result.summaries:
+                if 2 * s.failures > spec.m:  # most replications failed: say why
+                    counts = ", ".join(f"{reason}: {count}" for reason, count in s.reasons)
+                    print(
+                        f"warning: {label} cell {cell} (n={spec.n}, {param}="
+                        f"{spec.source.descriptor()[param]}): {s.estimator.value} failed in "
+                        f"{s.failures} of {spec.m} replications ({counts})",
+                        file=sys.stderr,
+                    )
         doc = summaries_document(results, name=label)
         columns = doc.columns
         all_rows.extend(doc.rows)

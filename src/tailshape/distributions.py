@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .estimators import _is_int
+
 __all__ = [
     "GpdParams",
     "ParetoParams",
@@ -101,7 +103,7 @@ class RngStream:
 
     def __post_init__(self) -> None:
         for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
-            if not isinstance(value, (int, np.integer)):
+            if not _is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit int, got {value}")
@@ -114,7 +116,7 @@ class RngStream:
 
 
 def _check_count(n: int) -> int:
-    if not isinstance(n, (int, np.integer)) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValueError(f"sample size must be a positive integer, got {n!r}")
     return int(n)
 

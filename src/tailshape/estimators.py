@@ -18,20 +18,25 @@ All estimators are pure functions of their input sample and are safe to call
 concurrently.
 
 Each estimator has one numerical implementation, a private row kernel that
-fits a 2-D array of equal-length samples, one sample per row; the public
-functions above check their input, call the kernel with a single row and wrap
-its result.  :func:`tailshape.pot.fit_all` and the replication engine call the
-kernels on whole stacks of samples.  Every ``log1p`` temporary of a profile
-likelihood (the Zhang-Stephens grid and the GPD ML scan) is evaluated in
-blocks of at most :data:`ELEMENT_BUDGET` elements, over (row, grid point)
-pairs, so its memory does not grow with the number of rows or the sample size.
+fits a 2-D array of equal-length samples, one sample per row, and returns
+each row's :class:`Reason` next to its estimates: ``ok``, or why the row has
+no estimate.  Every failure condition of an estimator is written once, in its
+kernel.  A kernel returns ``(xi_hat, scale, reason, ...)`` per row (Hill's
+``(xi_hat, reason)``).  The public functions above check their argument's
+size, call the kernel with a single row and raise the exception and message
+of the row's reason, or wrap its result.  :func:`tailshape.pot.fit_all` and
+the replication engine call the kernels on whole stacks of samples and keep
+the reasons.  Every ``log1p`` temporary of a profile likelihood (the
+Zhang-Stephens grid and the GPD ML scan) is evaluated in blocks of at most
+:data:`ELEMENT_BUDGET` elements, over (row, grid point) pairs, so its memory
+does not grow with the number of rows or the sample size.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from enum import Enum
+from enum import Enum, IntEnum
 
 import numpy as np
 
@@ -41,6 +46,7 @@ ELEMENT_BUDGET = 2**15
 
 __all__ = [
     "EstimatorId",
+    "Reason",
     "EstimationError",
     "PwmSingularityError",
     "FitResult",
@@ -72,6 +78,80 @@ class EstimationError(RuntimeError):
 
 class PwmSingularityError(EstimationError):
     """The probability-weighted-moment denominator a0 - 2*a1 is not positive."""
+
+
+class Reason(IntEnum):
+    """Why a row kernel gave a row no estimate, or ``ok`` where it gave one."""
+
+    ok = 0
+    too_few = 1  # fewer than 2 values, or fewer than 2 exceedances in a POT run
+    non_finite = 2  # a NaN or infinite value
+    negative = 3  # a negative excess
+    nonpositive = 4  # an observation <= 0 where Pareto ML needs positive ones
+    all_zero = 5
+    mean_underflow = 6  # mean(x) == 0: GPD ML has no scan range
+    no_scan_range = 7  # 1e4 / mean(x) overflows
+    support_nonpositive = 8  # the transform's support estimate is not positive
+    threshold_nonpositive = 9  # Hill's X_(n-k) is not positive
+    initial_failed = 10  # a transformed estimator's initial fit failed
+    pwm_singular = 11  # a0 - 2*a1 <= 0
+    not_converged = 12  # GPD ML: the profile still rises at the end of the scan
+    degenerate_zero = 13  # xi_hat == 0
+    invalid_estimate = 14  # xi_hat not finite, or sigma_hat not positive and finite
+
+
+# Reason.ok as a plain int for array comparisons: NumPy compares an array with
+# an IntEnum member about three times slower than with an int
+_OK = int(Reason.ok)
+
+
+# reason -> exception class and message of a 1-D fit; {name} is the
+# estimator's name.  A row with an invalid estimate reaches FitResult, whose
+# checks reject it with their own message; GPD ML returns unconverged fits.
+_ERRORS = {
+    Reason.non_finite: (ValueError, "sample contains non-finite values"),
+    Reason.negative: (ValueError, "{name} requires non-negative excesses"),
+    Reason.nonpositive: (ValueError, "{name} requires strictly positive observations"),
+    Reason.all_zero: (EstimationError, "{name} is undefined for an all-zero sample"),
+    Reason.mean_underflow: (
+        EstimationError, "{name} is undefined for a sample whose mean underflows to zero"
+    ),
+    Reason.no_scan_range: (
+        EstimationError, "{name} scan range 1e4/mean(x) overflows at mean(x) = {mean!r}"
+    ),
+    Reason.threshold_nonpositive: (ValueError, "{name} needs a positive threshold X_(n-k)"),
+    Reason.pwm_singular: (
+        PwmSingularityError,
+        "probability-weighted-moment denominator a0 - 2*a1 = {denom} is not positive",
+    ),
+    Reason.degenerate_zero: (EstimationError, "{name} produced a degenerate zero estimate"),
+}
+
+
+def _check(reason, name: str, **values) -> None:
+    """Raise the exception of a 1-D fit whose row has ``reason``, if it has one."""
+    if reason in _ERRORS:
+        error, message = _ERRORS[reason]
+        raise error(message.format(name=name, **values))
+
+
+def _first_reason(*checks) -> np.ndarray:
+    """Each row's reason from ``(mask, reason)`` checks in priority order:
+    the first whose mask holds, else ``ok``."""
+    reason = np.zeros(len(checks[0][0]), dtype=int)
+    for mask, code in reversed(checks):
+        reason[mask] = code
+    return reason
+
+
+def _excess_checks(low: np.ndarray, high: np.ndarray) -> tuple:
+    """Checks of excess rows with these minima and maxima (NaN makes both NaN)."""
+    return (~(np.isfinite(low) & np.isfinite(high)), Reason.non_finite), (low < 0, Reason.negative)
+
+
+def _invalid(xi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Rows whose estimates FitResult would reject."""
+    return ~(np.isfinite(xi) & (sigma > 0) & (sigma < np.inf))
 
 
 @dataclass(frozen=True)
@@ -115,12 +195,11 @@ class FitResult:
             raise ValueError(f"sigma_hat must be positive when present, got {self.sigma_hat}")
 
 
-def _clean_sample(values, min_size: int = 2) -> np.ndarray:
+def _sample(values) -> np.ndarray:
+    """The values as a 1-D float array of at least two; the kernels check them."""
     arr = np.asarray(values, dtype=float).ravel()
-    if arr.size < min_size:
-        raise ValueError(f"need at least {min_size} observations, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sample contains non-finite values")
+    if arr.size < 2:
+        raise ValueError(f"need at least 2 observations, got {arr.size}")
     return arr
 
 
@@ -130,18 +209,24 @@ def estimate_pareto_ml(z) -> FitResult:
     Requires strictly positive observations.  ``xi_hat`` is non-negative and
     zero exactly when all observations are equal.
     """
-    arr = _clean_sample(z)
-    if np.any(arr <= 0):
-        raise ValueError("Pareto ML requires strictly positive observations")
-    xi, mu = _pareto_ml_rows(arr[None, :])
+    xi, mu, reason = _pareto_ml_rows(_sample(z)[None, :])
+    _check(reason[0], "Pareto ML")
     return FitResult(float(xi[0]), None, float(mu[0]), EstimatorId.PARETO_ML)
 
 
-def _pareto_ml_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row kernel of :func:`estimate_pareto_ml`: ``(xi_hat, mu_hat)`` per row."""
+def _pareto_ml_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row kernel of :func:`estimate_pareto_ml`: ``(xi_hat, mu_hat, reason)``
+    per row."""
     mu = z.min(axis=1)
-    ratio = z / mu[:, None]
-    return np.log(ratio, out=ratio).mean(axis=1), mu
+    with np.errstate(all="ignore"):
+        ratio = z / mu[:, None]
+        xi = np.log(ratio, out=ratio).mean(axis=1)
+    reason = _first_reason(
+        (~(np.isfinite(mu) & np.isfinite(z.max(axis=1))), Reason.non_finite),
+        (mu <= 0, Reason.nonpositive),
+        (~np.isfinite(xi), Reason.invalid_estimate),
+    )
+    return xi, mu, reason
 
 
 def estimate_pwm(excesses, pos: PlottingPosition = PlottingPosition()) -> FitResult:
@@ -152,30 +237,33 @@ def estimate_pwm(excesses, pos: PlottingPosition = PlottingPosition()) -> FitRes
 
         xi_hat = 2 - a0 / (a0 - 2*a1),  sigma_hat = 2*a0*a1 / (a0 - 2*a1).
 
-    Raises :class:`PwmSingularityError` when a0 - 2*a1 <= 0 (only possible for
-    an all-zero sample); callers decide how to account for such failures.
+    Raises :class:`PwmSingularityError` when a0 - 2*a1 <= 0 (an all-zero
+    sample, or one whose moments underflow to zero); callers decide how to
+    account for such failures.
     """
-    arr = _clean_sample(excesses)
-    if np.any(arr < 0):
-        raise ValueError("PWM requires non-negative excesses")
-    xi, sigma, a0, a1, denom = (float(v[0]) for v in _pwm_rows(np.sort(arr)[None, :], pos))
-    if denom <= 0:
-        raise PwmSingularityError(
-            f"probability-weighted-moment denominator a0 - 2*a1 = {denom} is not positive"
-        )
-    return FitResult(xi, sigma, None, EstimatorId.PWM, {"a0": a0, "a1": a1})
+    srt = np.sort(_sample(excesses))[None, :]
+    xi, sigma, reason, a0, a1, denom = (v[0] for v in _pwm_rows(srt, pos))
+    _check(reason, "PWM", denom=float(denom))
+    diagnostics = {"a0": float(a0), "a1": float(a1)}
+    return FitResult(float(xi), float(sigma), None, EstimatorId.PWM, diagnostics)
 
 
 def _pwm_rows(srt: np.ndarray, pos: PlottingPosition) -> tuple[np.ndarray, ...]:
-    """Row kernel of :func:`estimate_pwm` on sorted rows:
-    ``(xi_hat, sigma_hat, a0, a1, a0 - 2*a1)`` per row.  Rows whose
-    denominator is not positive get meaningless shape and scale values."""
+    """Row kernel of :func:`estimate_pwm` on sorted rows of at least two
+    values: ``(xi_hat, sigma_hat, reason, a0, a1, a0 - 2*a1)`` per row.
+    Rows that fail get meaningless shape and scale values."""
     p = pos.positions(srt.shape[1])
-    a0 = srt.mean(axis=1)
-    a1 = ((1.0 - p) * srt).mean(axis=1)
-    denom = a0 - 2.0 * a1
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return 2.0 - a0 / denom, 2.0 * a0 * a1 / denom, a0, a1, denom
+    with np.errstate(all="ignore"):
+        a0 = srt.mean(axis=1)
+        a1 = ((1.0 - p) * srt).mean(axis=1)
+        denom = a0 - 2.0 * a1
+        xi, sigma = 2.0 - a0 / denom, 2.0 * a0 * a1 / denom
+    reason = _first_reason(
+        *_excess_checks(srt[:, 0], srt[:, -1]),  # NaN sorts last
+        (denom <= 0, Reason.pwm_singular),
+        (_invalid(xi, sigma), Reason.invalid_estimate),
+    )
+    return xi, sigma, reason, a0, a1, denom
 
 
 def _profile_xi(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -242,14 +330,8 @@ def estimate_zhang_stephens(excesses) -> FitResult:
     theta * x overflows, which takes x* below about 1e-308 or x_(n) / x*
     above about 1e308; the fit then fails.
     """
-    y = np.sort(_clean_sample(excesses))
-    if y[0] < 0:
-        raise ValueError("Zhang-Stephens requires non-negative excesses")
-    if y[-1] <= 0:
-        raise EstimationError("Zhang-Stephens is undefined for an all-zero sample")
-    xi, sigma, theta, m = _zhang_stephens_rows(y[None, :])
-    if xi[0] == 0.0:
-        raise EstimationError("Zhang-Stephens produced a degenerate zero estimate")
+    xi, sigma, reason, theta, m = _zhang_stephens_rows(np.sort(_sample(excesses))[None, :])
+    _check(reason[0], "Zhang-Stephens")
     return FitResult(
         float(xi[0]),
         float(sigma[0]),
@@ -259,31 +341,36 @@ def estimate_zhang_stephens(excesses) -> FitResult:
     )
 
 
-def _zhang_stephens_rows(y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+def _zhang_stephens_rows(y: np.ndarray) -> tuple:
     """Row kernel of :func:`estimate_zhang_stephens` on sorted rows with at
-    least two observations: ``(xi_hat, sigma_hat, theta_hat)`` per row and the
-    grid size.
-    Rows that are not non-negative with a positive maximum, or whose xi_hat
-    is zero, get meaningless values."""
+    least two observations: ``(xi_hat, sigma_hat, reason, theta_hat)`` per row
+    and the grid size.  Rows that fail get meaningless values."""
     n = y.shape[1]
     m = 20 + math.isqrt(n)
-    quart = y[:, (n + 5) // 4 - 1]  # ceil(n/4 + 0.5)-th order statistic, 1-indexed
-    zero_heavy = quart <= 0
-    if zero_heavy.any():
-        # fall back to the smallest positive value so the grid stays finite;
-        # the estimate remains well defined
-        quart = np.where(zero_heavy, np.where(y > 0, y, np.inf).min(axis=1), quart)
-    j = np.arange(1, m + 1)
-    theta_grid = -1.0 / y[:, -1:] + (np.sqrt(m / (j - 0.5)) - 1.0) / (3.0 * quart[:, None])
-    ll, _ = _profile_loglik(theta_grid, y)
-    w = np.exp(ll - ll.max(axis=1, keepdims=True))
-    w /= w.sum(axis=1, keepdims=True)
-    # one BLAS dot per row: a sum along an axis would round differently
-    theta = np.matmul(w[:, None, :], theta_grid[:, :, None])[:, 0, 0]
-    t = theta[:, None] * y
-    xi = np.log1p(t, out=t).mean(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return xi, xi / theta, theta, m
+    with np.errstate(all="ignore"):
+        quart = y[:, (n + 5) // 4 - 1]  # ceil(n/4 + 0.5)-th order statistic, 1-indexed
+        zero_heavy = quart <= 0
+        if zero_heavy.any():
+            # fall back to the smallest positive value so the grid stays finite;
+            # the estimate remains well defined
+            quart = np.where(zero_heavy, np.where(y > 0, y, np.inf).min(axis=1), quart)
+        j = np.arange(1, m + 1)
+        theta_grid = -1.0 / y[:, -1:] + (np.sqrt(m / (j - 0.5)) - 1.0) / (3.0 * quart[:, None])
+        ll, _ = _profile_loglik(theta_grid, y)
+        w = np.exp(ll - ll.max(axis=1, keepdims=True))
+        w /= w.sum(axis=1, keepdims=True)
+        # one BLAS dot per row: a sum along an axis would round differently
+        theta = np.matmul(w[:, None, :], theta_grid[:, :, None])[:, 0, 0]
+        t = theta[:, None] * y
+        xi = np.log1p(t, out=t).mean(axis=1)
+        sigma = xi / theta
+    reason = _first_reason(
+        *_excess_checks(y[:, 0], y[:, -1]),  # NaN sorts last
+        (y[:, -1] <= 0, Reason.all_zero),
+        (xi == 0.0, Reason.degenerate_zero),
+        (_invalid(xi, sigma), Reason.invalid_estimate),
+    )
+    return xi, sigma, reason, theta, m
 
 
 def _profile_score(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -332,33 +419,24 @@ def estimate_gpd_mle(excesses) -> FitResult:
     exist (theta diverging); the boundary fit is returned with ``converged``
     set to 0.0 in the diagnostics rather than silently reporting an interior
     optimum.  A sample whose mean is so small (below about 1e-304) that
-    1e4/mean(x) overflows has no scan range and fails.
+    1e4/mean(x) overflows has no scan range and fails, as does one whose
+    mean overflows.
 
     ``optimizer_iterations`` counts the score evaluations of the refinement,
     one per Newton or bisection step; it is 0 when the scan alone decides the
     fit (divergence, a profile already falling at the lower bracket end, or
     one still rising at the upper end).
     """
-    x = _clean_sample(excesses)
-    if np.any(x < 0):
-        raise ValueError("GPD MLE requires non-negative excesses")
-    if x.max() <= 0:
-        raise EstimationError("GPD MLE is undefined for an all-zero sample")
-    xbar = float(x.mean())
-    if xbar == 0.0:
-        raise EstimationError("GPD MLE is undefined for a sample whose mean underflows to zero")
-    if not math.isfinite(1e4 / xbar):
-        raise EstimationError(f"GPD MLE scan range 1e4/mean(x) overflows at mean(x) = {xbar!r}")
-    xi, theta, converged, iters = (v[0] for v in _gpd_mle_rows(x[None, :]))
-    if converged and xi == 0.0:
-        raise EstimationError("GPD MLE produced a degenerate zero estimate")
+    x = _sample(excesses)
+    xi, sigma, reason, theta, iters, mean = (v[0] for v in _gpd_mle_rows(x[None, :]))
+    _check(reason, "GPD MLE", mean=float(mean))
     return FitResult(
         float(xi),
-        float(xi / theta),
+        float(sigma),
         None,
         EstimatorId.GPD_MLE,
         {
-            "converged": float(converged),
+            "converged": float(reason != Reason.not_converged),
             "optimizer_iterations": float(iters),
             "theta": float(theta),
             "profile_loglik": float(_profile_loglik(theta, x)[0][0]),
@@ -366,10 +444,10 @@ def estimate_gpd_mle(excesses) -> FitResult:
     )
 
 
-def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Row kernel of :func:`estimate_gpd_mle` on rows of non-negative finite
-    excesses, in sample order, whose mean m has a finite 1e4/m:
-    ``(xi_hat, theta_hat, converged, optimizer_iterations)`` per row.
+def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row kernel of :func:`estimate_gpd_mle` on rows of at least two
+    excesses, in sample order: ``(xi_hat, sigma_hat, reason, theta_hat,
+    optimizer_iterations, mean)`` per row.
 
     The scan and bracket choice run on every row at once, the Newton
     refinement on the rows still refining, each with its own bracket and
@@ -377,7 +455,17 @@ def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     solver did: NumPy's vectorized ``exp`` rounds differently.
     """
     rows = np.arange(len(x))
-    xbar = x.mean(axis=1)
+    with np.errstate(all="ignore"):
+        mean, high = x.mean(axis=1), x.max(axis=1)
+        reason = _first_reason(
+            *_excess_checks(x.min(axis=1), high),
+            (high <= 0, Reason.all_zero),
+            (mean == 0.0, Reason.mean_underflow),
+            (~(1e4 / mean < np.inf), Reason.no_scan_range),
+            (mean == np.inf, Reason.invalid_estimate),  # the sum overflows
+        )
+    # a row without a scan range is scanned over NaN: NaN estimates, no refinement
+    xbar = np.where(reason == _OK, mean, np.nan)
     theta_lo, theta_hi = 1e-8 / xbar, 1e4 / xbar
     grid = np.geomspace(theta_lo, theta_hi, 200, axis=1)
     ll, _ = _profile_loglik(grid, x)
@@ -388,7 +476,7 @@ def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
     hi = np.where(i < last, grid[rows, np.minimum(i + 1, last)], theta_hi)
     theta = np.where(converged, grid[rows, i], theta_hi)
     iters = np.zeros(len(x), dtype=int)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+    with np.errstate(all="ignore"):
         todo = rows[converged]
         falling = _profile_score(lo[todo], x if converged.all() else x[todo])[0] <= 0.0
         # falling already at the lower bracket: the maximum sits at the shape
@@ -431,7 +519,13 @@ def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np
             theta[r] = math.exp(u)
         t = theta[:, None] * x
         xi = np.log1p(t, out=t).mean(axis=1)
-    return xi, theta, converged, iters
+        sigma = xi / theta
+        fitted = _first_reason(
+            (~converged, Reason.not_converged),
+            (xi == 0.0, Reason.degenerate_zero),
+            (_invalid(xi, sigma), Reason.invalid_estimate),
+        )
+    return xi, sigma, np.where(reason == _OK, fitted, reason), theta, iters, mean
 
 
 def estimate_hill(x, k: int) -> FitResult:
@@ -441,29 +535,38 @@ def estimate_hill(x, k: int) -> FitResult:
     observations with the threshold X_(n-k) playing the role of the scale,
     which must therefore be positive.  ``mu_hat`` reports the threshold.
     """
-    arr = _clean_sample(x)
-    if not _is_int(k) or not 1 <= k < arr.size:
-        raise ValueError(f"k must satisfy 1 <= k < n = {arr.size}, got {k!r}")
+    arr = _sample(x)
     threshold, top = _top_k(arr, k)
-    if threshold <= 0:
-        raise ValueError("Hill estimator needs a positive threshold X_(n-k)")
-    xi = _hill_rows(top[None, :], np.array([threshold]))[0]
-    return FitResult(float(xi), None, float(threshold), EstimatorId.HILL, {"k": float(k)})
+    xi, reason = _hill_rows(top[None, :], np.array([threshold]), arr.min(keepdims=True))
+    _check(reason[0], "Hill estimator")
+    return FitResult(float(xi[0]), None, threshold, EstimatorId.HILL, {"k": float(k)})
 
 
 def _top_k(arr: np.ndarray, k: int) -> tuple[float, np.ndarray]:
     """X_(n-k) of a 1-D sample and its k largest values, sorted: one
     partition serves both, and sorted, the top k sum in the same order as in
     a full sort of the sample."""
+    if not _is_int(k) or not 1 <= k < arr.size:
+        raise ValueError(f"k must satisfy 1 <= k < n = {arr.size}, got {k!r}")
     part = np.partition(arr, arr.size - k - 1)
     return float(part[arr.size - k - 1]), np.sort(part[arr.size - k :])
 
 
-def _hill_rows(top: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+def _hill_rows(
+    top: np.ndarray, threshold: np.ndarray, low: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Row kernel of :func:`estimate_hill`: the mean log-ratio of each row of
-    sorted top values to its threshold."""
-    ratio = top / threshold[:, None]
-    return np.log(ratio, out=ratio).mean(axis=1)
+    sorted top values to its threshold, and each row's reason.  ``low`` holds
+    each sample's minimum, which shows a NaN or -inf below the threshold."""
+    with np.errstate(all="ignore"):
+        ratio = top / threshold[:, None]
+        xi = np.log(ratio, out=ratio).mean(axis=1)
+    reason = _first_reason(
+        (~(np.isfinite(low) & np.isfinite(top[:, -1])), Reason.non_finite),
+        (threshold <= 0, Reason.threshold_nonpositive),
+        (~np.isfinite(xi), Reason.invalid_estimate),
+    )
+    return xi, reason
 
 
 def _is_int(value) -> bool:

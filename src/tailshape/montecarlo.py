@@ -22,8 +22,9 @@ every row gets exactly the estimates of a replication fitted alone.
 
 Summaries report MSE, bias (true shape minus average estimate), relative
 efficiency against the asymptotic ML benchmark ``((1 + xi)^2 / n) / MSE`` and
-Monte Carlo standard errors, with per-estimator failure counts (failed
-replications are excluded from that estimator's summary only).
+Monte Carlo standard errors, with per-estimator failure counts and their
+counts by :class:`~tailshape.estimators.Reason` (failed replications are
+excluded from that estimator's summary only).
 
 The module also ships the benchmark grids ``table1`` .. ``table8`` (three GPD
 parameter families crossed with n in {50, 100, 250} and xi in {0.1, 0.25,
@@ -53,7 +54,7 @@ from .distributions import (
     sample_student_t,
     sample_symmetric_stable,
 )
-from .estimators import ELEMENT_BUDGET, EstimatorId, _hill_rows, _is_int, _top_k
+from .estimators import ELEMENT_BUDGET, _OK, EstimatorId, Reason, _hill_rows, _is_int, _top_k
 from .pot import DEFAULT_POT_ESTIMATORS, fit_all
 
 __all__ = [
@@ -235,7 +236,12 @@ class ExperimentSpec:
 
 @dataclass(frozen=True)
 class ReplicationSummary:
-    """Per-estimator summary of one scenario's replications."""
+    """Per-estimator summary of one scenario's replications.
+
+    ``reasons`` counts the failures by reason: ``(reason name, count)`` pairs
+    in :class:`~tailshape.estimators.Reason` order, for the reasons that
+    occurred.
+    """
 
     estimator: EstimatorId
     mse: float
@@ -246,6 +252,7 @@ class ReplicationSummary:
     variance: float
     failures: int
     m_used: int
+    reasons: tuple[tuple[str, int], ...]
 
 
 @dataclass(frozen=True)
@@ -292,8 +299,10 @@ def relative_efficiency(mse_value: float, true_xi: float, n: int) -> float:
     return benchmark / mse_value
 
 
-def _replicate_range(spec: ExperimentSpec, start: int, stop: int) -> dict[EstimatorId, np.ndarray]:
-    """Estimates for replications [start, stop); slot r uses stream (seed, r).
+def _replicate_range(spec: ExperimentSpec, start: int, stop: int):
+    """Estimates and reasons for replications [start, stop); slot r uses
+    stream (seed, r).  Returns ``(slots, reasons)``: per estimator, each
+    replication's estimate (NaN where it failed) and its reason.
 
     A chunk of replications is drawn at once, one row per replication, and
     its rows are fitted by one :func:`tailshape.pot.fit_all` call per excess
@@ -303,6 +312,8 @@ def _replicate_range(spec: ExperimentSpec, start: int, stop: int) -> dict[Estima
     budget.
     """
     slots = {est: np.full(stop - start, np.nan) for est in spec.estimator_set}
+    # pot_estimate fails every estimator of a row with fewer than 2 excesses
+    reasons = {est: np.full(stop - start, Reason.too_few) for est in spec.estimator_set}
     plan = [est for est in spec.estimator_set if est is not EstimatorId.HILL]
     pot = spec.k is not None
     chunk = max(1, ELEMENT_BUDGET // (8 * (spec.k if pot else spec.n)))
@@ -312,17 +323,19 @@ def _replicate_range(spec: ExperimentSpec, start: int, stop: int) -> dict[Estima
         if pot:
             count, stack, hill = _draw_pot(spec, reps)
             if EstimatorId.HILL in slots:
-                slots[EstimatorId.HILL][rows_at : rows_at + len(reps)] = hill
+                at = slice(rows_at, rows_at + len(reps))
+                slots[EstimatorId.HILL][at], reasons[EstimatorId.HILL][at] = hill
         else:
             count, stack = _draw_minimum(spec, reps)
         for width in dict.fromkeys(count.tolist()):
-            if pot and width < 2:  # pot_estimate fails the whole replication
+            if pot and width < 2:  # the whole replication fails as too few
                 continue
             rows = np.flatnonzero(count == width)
             # pot_estimate runs no refresh rounds
-            for est, xi in fit_all(*stack(rows, width), plan, 0 if pot else spec.rounds).items():
-                slots[est][rows_at + rows] = xi
-    return slots
+            fits = fit_all(*stack(rows, width), plan, 0 if pot else spec.rounds)
+            for est, (xi, reason) in fits.items():
+                slots[est][rows_at + rows], reasons[est][rows_at + rows] = xi, reason
+    return slots, reasons
 
 
 def _draw_minimum(spec: ExperimentSpec, reps: range):
@@ -347,16 +360,16 @@ def _draw_pot(spec: ExperimentSpec, reps: range):
     """Draw replications ``reps`` for the peaks-over-threshold recipe of
     :func:`tailshape.pot.pot_estimate`: each row's excess count, ``stack(rows,
     width)`` as in :func:`_draw_minimum` with the smallest excess as support,
-    and each row's Hill estimate.
+    and each row's Hill estimate and reason.
 
     Each sample is drawn, folded if asked, and reduced at once to its
-    threshold X_(n-k), its excesses over it (sample order kept) and its k
-    largest values, so only (rows x k) arrays are kept.  Hill is NaN where
-    ``estimate_hill`` would fail (a non-finite sample or a threshold that is
-    not positive) or the row has fewer than 2 excesses.
+    threshold X_(n-k), its excesses over it (sample order kept), its k
+    largest values and its minimum, so only (rows x k) arrays are kept.  Hill
+    is NaN where its kernel fails the row or the row has fewer than 2
+    excesses.
     """
     threshold = np.empty(len(reps))
-    finite = np.empty(len(reps), dtype=bool)
+    low = np.empty(len(reps))
     count = np.empty(len(reps), dtype=int)
     # row i holds its count[i] excesses first; at most k values exceed X_(n-k)
     excesses, top = np.empty((len(reps), spec.k)), np.empty((len(reps), spec.k))
@@ -368,26 +381,30 @@ def _draw_pot(spec: ExperimentSpec, reps: range):
         above = x[x > threshold[row]]
         count[row] = above.size
         np.subtract(above, threshold[row], out=excesses[row, : above.size])
-        finite[row] = np.isfinite(x).all()
+        low[row] = x.min()
 
     def stack(rows, width):
         whole = width == spec.k and rows.size == len(reps)
         exc = excesses if whole else excesses[rows, :width]
         return exc, exc.min(axis=1), exc
 
-    with np.errstate(all="ignore"):
-        hill = _hill_rows(top, threshold)
-    hill[~(finite & (threshold > 0) & (count >= 2))] = np.nan
-    return count, stack, hill
+    hill, reason = _hill_rows(top, threshold, low)
+    reason[count < 2] = Reason.too_few
+    return count, stack, (np.where(reason == _OK, hill, np.nan), reason)
 
 
-def _summarize(spec: ExperimentSpec, estimator: EstimatorId, slot: np.ndarray) -> ReplicationSummary:
-    valid = slot[np.isfinite(slot)]
+def _summarize(
+    spec: ExperimentSpec, estimator: EstimatorId, slot: np.ndarray, reason: np.ndarray
+) -> ReplicationSummary:
+    counts = np.bincount(reason, minlength=len(Reason))
+    reasons = tuple((Reason(i).name, int(c)) for i, c in enumerate(counts) if i and c)
+    valid = slot[reason == _OK]
     m_used = int(valid.size)
     failures = spec.m - m_used
     if m_used == 0:
         return ReplicationSummary(
-            estimator, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan, failures, 0
+            estimator, math.nan, math.nan, math.nan, math.nan, math.nan, math.nan, failures, 0,
+            reasons,
         )
     true_xi = spec.true_xi
     mse_v = mse(valid, true_xi)
@@ -403,7 +420,7 @@ def _summarize(spec: ExperimentSpec, estimator: EstimatorId, slot: np.ndarray) -
         mc_se_mse = math.nan
         mc_se_bias = math.nan
     return ReplicationSummary(
-        estimator, mse_v, bias_v, rel, mc_se_mse, mc_se_bias, variance, failures, m_used
+        estimator, mse_v, bias_v, rel, mc_se_mse, mc_se_bias, variance, failures, m_used, reasons
     )
 
 
@@ -417,20 +434,17 @@ def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ReplicationSu
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     if workers == 1 or spec.m < 4:
-        slots = _replicate_range(spec, 0, spec.m)
+        slots, reasons = _replicate_range(spec, 0, spec.m)
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        slots = {est: np.full(spec.m, np.nan) for est in spec.estimator_set}
-
-        bounds = np.linspace(0, spec.m, min(workers * 4, spec.m) + 1, dtype=int)
-        ranges = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+        # consecutive non-empty ranges covering [0, m), at most m of them
+        bounds = np.linspace(0, spec.m, min(workers * 4, spec.m) + 1, dtype=int).tolist()
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {pool.submit(_replicate_range, spec, a, b): (a, b) for a, b in ranges}
-            for future, (a, b) in futures.items():
-                for est, values in future.result().items():
-                    slots[est][a:b] = values
-    return [_summarize(spec, est, slots[est]) for est in spec.estimator_set]
+            parts = list(pool.map(partial(_replicate_range, spec), bounds[:-1], bounds[1:]))
+        slots = {est: np.concatenate([p[0][est] for p in parts]) for est in spec.estimator_set}
+        reasons = {est: np.concatenate([p[1][est] for p in parts]) for est in spec.estimator_set}
+    return [_summarize(spec, est, slots[est], reasons[est]) for est in spec.estimator_set]
 
 
 def run_experiments(specs, workers: int = 1) -> list[ExperimentResult]:

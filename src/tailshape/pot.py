@@ -12,6 +12,12 @@ folded by absolute value (symmetric sources contribute through their largest
 values only) unless ``fold_absolute`` is requested explicitly.  The
 replication engine runs the same pipeline on stacks of samples through the
 row kernels (:mod:`tailshape.montecarlo`).
+
+A failure has one path: the row kernel of an estimator finds it and names
+its :class:`~tailshape.estimators.Reason`.  A stack keeps the reason of each
+row; a 1-D estimator runs its kernel on one row and raises the exception of
+that reason.  Only the transforms keep a 1-D path of their own
+(:func:`iterate_transform`, which their kernel matches row for row).
 """
 
 from __future__ import annotations
@@ -21,10 +27,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import (
+    _OK,
     EstimationError,
     EstimatorId,
     FitResult,
     PlottingPosition,
+    Reason,
     _gpd_mle_rows,
     _is_int,
     _pareto_ml_rows,
@@ -84,11 +92,7 @@ class PotResult:
 
 def select_threshold(x, k: int) -> float:
     """The (n-k)-th order statistic (ascending, 1-indexed) of the sample."""
-    arr = np.asarray(x, dtype=float).ravel()
-    n = arr.size
-    if not _is_int(k) or not 1 <= k < n:
-        raise ValueError(f"k must satisfy 1 <= k < n = {n}, got {k!r}")
-    return _top_k(arr, k)[0]
+    return _top_k(np.asarray(x, dtype=float).ravel(), k)[0]
 
 
 def excesses(x, threshold: float) -> np.ndarray:
@@ -117,79 +121,49 @@ def _attempt(fitter, *args) -> FitResult | str:
         return str(err)
 
 
-class _RowFits:
-    """One estimator's fits of a stack of samples.
-
-    ``kernel`` is ``(xi, sigma, ok)``: each row's shape and scale estimates
-    from a row kernel, and the rows that keep them.  Every other row runs
-    ``fit_row``, the 1-D estimator; ``outcomes`` keeps its FitResult or
-    failure message, and ``xi`` and ``sigma`` take its estimates, NaN where
-    the fit failed or GPD ML did not converge.  Without a kernel (a 1-D
-    call) only ``outcomes`` is kept.
-    """
-
-    def __init__(self, rows: int, kernel, fit_row):
-        self.xi, self.sigma, ok = kernel or (None, None, None)
-        todo = range(rows) if ok is None else np.flatnonzero(~ok)
-        self.outcomes: dict[int, FitResult | str] = {i: fit_row(i) for i in todo}
-        if self.xi is None:
-            return
-        for i, outcome in self.outcomes.items():
-            fitted = isinstance(outcome, FitResult) and outcome.diagnostics.get("converged", 1.0)
-            self.xi[i] = outcome.xi_hat if fitted else np.nan
-            self.sigma[i] = outcome.sigma_hat if fitted and outcome.sigma_hat else np.nan
-
-    def fit(self, i: int, estimator: EstimatorId) -> FitResult | str:
-        """Row i as its 1-D estimator returns it, without diagnostics where
-        the kernel fitted it."""
-        if i in self.outcomes:
-            return self.outcomes[i]
-        return FitResult(float(self.xi[i]), float(self.sigma[i]), None, estimator)
+def _one_fit(estimator: EstimatorId, x, support, exc, rounds: int, fits) -> FitResult | str:
+    """The 1-D fit of ``estimator``, or the message of its failure; a
+    transformed estimator transforms ``x`` with its initial fit in ``fits``."""
+    if estimator in _INITIAL:
+        base, name = _INITIAL[estimator]
+        if isinstance(fits[base], str):
+            return f"initial {name} fit failed: {fits[base]}"
+        return _attempt(iterate_transform, x, fits[base], support, rounds)
+    # built per call, so the estimators are looked up by their module-level names
+    fitter = {
+        EstimatorId.ZHANG_STEPHENS: estimate_zhang_stephens,
+        EstimatorId.PWM: estimate_pwm,
+        EstimatorId.GPD_MLE: estimate_gpd_mle,
+        EstimatorId.PARETO_ML: estimate_pareto_ml,
+    }[estimator]
+    return _attempt(fitter, x if estimator is EstimatorId.PARETO_ML else exc)
 
 
-def _kernel_fits(base: EstimatorId, x: np.ndarray, exc: np.ndarray, srt: np.ndarray):
-    """``(xi, sigma, ok)`` over a stack from the row kernel of ``base``, with
-    ``srt`` the sorted excesses: the estimates of every row, and the rows
-    whose estimates the 1-D estimator returns unchanged (the other rows hold
-    meaningless values).  GPD ML estimates are NaN where the fit did not
-    converge.  No row is kept where the kernel does not apply."""
-    rows = len(x)
-    if base is not EstimatorId.PARETO_ML and srt.shape[1] < 2:
-        return np.full(rows, np.nan), np.full(rows, np.nan), np.zeros(rows, dtype=bool)
-    with np.errstate(all="ignore"):
-        if base is EstimatorId.PARETO_ML:
-            xi, mu = _pareto_ml_rows(x)
-            return xi, np.full(rows, np.nan), (mu > 0) & np.isfinite(xi)
-        ok = (srt[:, 0] >= 0) & (srt[:, -1] < np.inf)  # non-negative and finite; NaN sorts last
-        if base is EstimatorId.GPD_MLE:
-            return _gpd_mle_fits(exc, ok)
-        if base is EstimatorId.ZHANG_STEPHENS:
-            xi, sigma, _, _ = _zhang_stephens_rows(srt)
-            ok &= srt[:, -1] > 0  # a zero xi_hat fails through sigma_hat = 0
-        else:
-            xi, sigma, _, _, denom = _pwm_rows(srt, PlottingPosition())
-            ok &= denom > 0
-    return xi, sigma, ok & np.isfinite(xi) & np.isfinite(sigma) & (sigma > 0)
-
-
-def _gpd_mle_fits(exc: np.ndarray, ok: np.ndarray):
-    """:func:`_kernel_fits` of GPD ML on the excesses in sample order, with
-    ``ok`` the rows that are non-negative and finite.  Only rows with a scan
-    range (a positive mean m with a finite 1e4/m) enter the kernel; a
-    converged fit stands where its shape is non-zero and its scale positive."""
-    xi, sigma = np.full(len(exc), np.nan), np.full(len(exc), np.nan)
-    xbar = exc.mean(axis=1)
-    ok &= (xbar < np.inf) & (1e4 / xbar < np.inf)
-    fit, theta, converged, _ = _gpd_mle_rows(exc if ok.all() else exc[ok])
-    fit[~converged] = np.nan
-    xi[ok], sigma[ok] = fit, fit / theta
-    ok[ok] = ~converged | ((fit != 0.0) & (sigma[ok] > 0) & (sigma[ok] < np.inf))
-    return xi, sigma, ok
+def _kernel_fits(estimator: EstimatorId, x, support, exc, srt, rounds: int, fits):
+    """``(xi, scale, reason)`` of each row of a stack from the row kernel of
+    ``estimator``, with ``srt`` the sorted excesses.  A transformed estimator
+    transforms ``x`` with its initial fit in ``fits``.  Rows of fewer than 2
+    values fail as too few."""
+    nan = np.full(len(x), np.nan)
+    on_x = estimator is EstimatorId.PARETO_ML or estimator in _INITIAL
+    if (x if on_x else exc).shape[1] < 2:
+        return nan, nan, np.full(len(x), Reason.too_few)
+    if estimator in _INITIAL:
+        xi, sigma, initial = fits[_INITIAL[estimator][0]]
+        xi, reason = _iterate_transform_rows(x, support, sigma, xi, rounds, initial)
+        return xi, nan, reason
+    kernel = {
+        EstimatorId.PARETO_ML: lambda: _pareto_ml_rows(x),
+        EstimatorId.PWM: lambda: _pwm_rows(srt, PlottingPosition()),
+        EstimatorId.ZHANG_STEPHENS: lambda: _zhang_stephens_rows(srt),
+        EstimatorId.GPD_MLE: lambda: _gpd_mle_rows(exc),
+    }[estimator]
+    return kernel()[:3]
 
 
 def fit_all(
     x, support, exc, wanted, rounds: int = 0
-) -> dict[EstimatorId, FitResult | str] | dict[EstimatorId, np.ndarray]:
+) -> dict[EstimatorId, FitResult | str] | dict[EstimatorId, tuple[np.ndarray, np.ndarray]]:
     """Fit each wanted estimator once; failures map to their messages.
 
     Zhang-Stephens, PWM and GPD ML fit the excesses ``exc`` (GPD ML even when
@@ -199,57 +173,33 @@ def fit_all(
     :func:`pot_estimate`.  Returns ``{EstimatorId: FitResult | message}``.
 
     Stack form: ``x`` of shape (r, n), ``exc`` of shape (r, w) and
-    ``support`` of shape (r,) hold r samples, one per row.  The result maps
-    each estimator to the r shape estimates, NaN where that row's fit failed
-    or GPD ML did not converge, so a failure fails only its row.  Each row
-    gets exactly the estimate of a 1-D call on it: the row kernels (GPD ML's
-    on the excesses in their given order, which its averages follow) fit the
-    whole stack, and a row whose kernel fit would not stand unchanged runs
-    the 1-D estimator, which is the same kernel on one row.  So does the one
-    row of a 1-D call.
+    ``support`` of shape (r,) hold r samples, one per row.  The row kernels
+    fit the whole stack (GPD ML's on the excesses in their given order, which
+    its averages follow), and the result maps each estimator to
+    ``(xi, reason)``: the r shape estimates and each row's
+    :class:`~tailshape.estimators.Reason`, with xi NaN wherever the reason is
+    not ``ok`` (including GPD ML fits that did not converge).  So a failure
+    fails only its row, and each row gets exactly the estimate of a 1-D call
+    on it, whose failure message is that of the row's reason.
     """
     if EstimatorId.HILL in wanted:
         raise ValueError("the Hill estimator needs the raw sample and k; use pot_estimate")
     single = np.ndim(x) == 1
-    if single:
-        x, support, exc = [x], [support], [exc]
-    else:
+    if not single:
         x, support, exc = (np.asarray(a, dtype=float) for a in (x, support, exc))
-    rows = len(x)
-    # built per call, so the estimators are looked up by their module-level names
-    one_row = {
-        EstimatorId.ZHANG_STEPHENS: (estimate_zhang_stephens, exc),
-        EstimatorId.PWM: (estimate_pwm, exc),
-        EstimatorId.GPD_MLE: (estimate_gpd_mle, exc),
-        EstimatorId.PARETO_ML: (estimate_pareto_ml, x),
-    }
-    fits: dict[EstimatorId, _RowFits] = {}
-    srt = None if single else np.sort(exc, axis=1)
+        srt = np.sort(exc, axis=1)
+    fits = {}
     for estimator in dict.fromkeys(wanted):
-        base, name = _INITIAL.get(estimator, (estimator, ""))
-        if base not in fits:
-            fitter, data = one_row[base]
-            kernel = None if single else _kernel_fits(base, x, exc, srt)
-            fits[base] = _RowFits(rows, kernel, lambda i: _attempt(fitter, data[i]))
-        if base is estimator:
-            continue
-        initial = fits[base]
-
-        def transformed(i):
-            fit = initial.fit(i, base)
-            if isinstance(fit, str):
-                return f"initial {name} fit failed: {fit}"
-            return _attempt(iterate_transform, x[i], fit, support[i], rounds)
-
-        kernel = None
-        if not single:
-            xi = _iterate_transform_rows(x, support, initial.sigma, initial.xi, rounds)
-            ok = np.isfinite(initial.xi) & (support > 0) & (support < np.inf)
-            kernel = xi, np.full(rows, np.nan), ok & np.isfinite(xi) & np.isfinite(x).all(axis=1)
-        fits[estimator] = _RowFits(rows, kernel, transformed)
+        for e in (_INITIAL.get(estimator, (estimator,))[0], estimator):
+            if e not in fits:
+                fits[e] = (
+                    _one_fit(e, x, support, exc, rounds, fits)
+                    if single
+                    else _kernel_fits(e, x, support, exc, srt, rounds, fits)
+                )
     if single:
-        return {estimator: fits[estimator].fit(0, estimator) for estimator in wanted}
-    return {estimator: fits[estimator].xi for estimator in wanted}
+        return {estimator: fits[estimator] for estimator in wanted}
+    return {e: (np.where(fits[e][2] == _OK, fits[e][0], np.nan), fits[e][2]) for e in wanted}
 
 
 def pot_estimate(x, cfg: PotConfig) -> PotResult:

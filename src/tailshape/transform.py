@@ -26,7 +26,16 @@ from enum import Enum
 
 import numpy as np
 
-from .estimators import EstimatorId, FitResult, _is_int, _pareto_ml_rows, estimate_pareto_ml
+from .estimators import (
+    _OK,
+    EstimatorId,
+    FitResult,
+    Reason,
+    _first_reason,
+    _is_int,
+    _pareto_ml_rows,
+    estimate_pareto_ml,
+)
 
 __all__ = [
     "TransformForm",
@@ -203,22 +212,32 @@ def iterate_transform(x, initial: FitResult, mu_hat: float, rounds: int) -> FitR
     return fit
 
 
-def _iterate_transform_rows(x, mu_hat, sigma_hat, xi_hat, rounds: int) -> np.ndarray:
+def _iterate_transform_rows(
+    x, mu_hat, sigma_hat, xi_hat, rounds: int, initial: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """Row kernel of :func:`iterate_transform` with three-parameter maps.
 
     Row i of ``x`` is transformed with ``mu_hat[i]``, ``sigma_hat[i]`` and
-    ``xi_hat[i]``; the result is each row's shape estimate after ``rounds``
-    refresh rounds.  A refreshed estimate is a Pareto ML fit, so a non-positive
-    one is zero, which maps every value to the bound and fits zero again: the
-    early stop of :func:`iterate_transform` would not change it.
+    ``xi_hat[i]``, the initial fit whose reason is ``initial[i]``; the result
+    is each row's shape estimate after ``rounds`` refresh rounds and its
+    reason.  A refreshed estimate is a Pareto ML fit, so a non-positive one is
+    zero, which maps every value to the bound and fits zero again: the early
+    stop of :func:`iterate_transform` would not change it.
     """
+    reason = _first_reason(
+        (initial != _OK, Reason.initial_failed),
+        (~((mu_hat > 0) & (mu_hat < np.inf)), Reason.support_nonpositive),
+        (~np.isfinite(x).all(axis=1), Reason.non_finite),
+    )
     xi = xi_hat
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(rounds + 1):
             slope, intercept = _three_parameter_map(mu_hat, sigma_hat, xi)
             z, _ = _clamped_map(x, slope[:, None], intercept[:, None], mu_hat[:, None])
-            xi = _pareto_ml_rows(z)[0]
-    return xi
+            xi, _, fit = _pareto_ml_rows(z)
+            # a row keeps the reason of its first failure
+            reason = np.where(reason == _OK, fit, reason)
+    return xi, reason
 
 
 def gpd_quantile_via_transform(spec: TransformSpec, alpha_transformed: float, prob):

@@ -1,7 +1,13 @@
 """Tests for the command-line interface and its exit-code contract."""
 
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -297,6 +303,21 @@ class TestSimulate:
         raw = out.read_bytes()
         assert raw.count(b"\r\n") == 61  # header plus 15 cells x 4 estimators
 
+    def test_mostly_failing_estimator_is_named_on_stderr(self, capsys, tmp_path):
+        # a negative support bound defeats both transforms in every replication
+        text = "m = 50\n[scenario]\nsource = gpd\nmu = {mu}\nsigma = 1\nxi = 0.5\nn = 50\n"
+        config = write(tmp_path / "neg.cfg", text.format(mu=-1))
+        code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path / "o"))
+        assert code == 0
+        assert err.splitlines() == [
+            f"warning: scenario1 cell 1 (n=50, xi=0.5): {estimator} failed in 50 of 50 "
+            "replications (support_nonpositive: 50)"
+            for estimator in ("transformed_zs", "transformed_pwm")
+        ]
+        config = write(tmp_path / "pos.cfg", text.format(mu=1))
+        code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path / "o"))
+        assert (code, err) == (0, "")
+
     def test_invalid_shape_names_field_and_line(self, capsys, tmp_path):
         bad = SCENARIO_CONFIG.replace("xi = 0.5", "xi = -0.2")
         config = write(tmp_path / "bad.cfg", bad)
@@ -377,6 +398,66 @@ class TestSimulate:
         assert out1.read_text() != out2.read_text()
 
 
+ESTIMATE_PIN_PATH = Path(__file__).with_name("estimate_pin.json")
+ESTIMATE_PIN_METHODS = ("zs", "pwm", "mle", "hill", "pareto-ml", "transformed-zs", "transformed-pwm")
+
+
+def _estimate_pin_files():
+    """Data files of the estimate pin, each with its --k: a clean GPD sample
+    and degenerate ones."""
+    clean = sample_gpd(GpdParams(1.0, 1.0, 0.5), 200, RngStream(61, 0))
+    return {
+        "gpd.dat": ["\n".join(repr(float(v)) for v in clean) + "\n", 20],
+        "one.dat": ["1.25\n", 1],
+        "tied.dat": ["1\n1\n", 1],
+        "pair.dat": ["1\n2\n", 1],
+        "zeros.dat": ["0\n0\n0\n", 2],
+        # a negative support estimate; with k = 3 the threshold is -1
+        "negative.dat": ["-3\n-2\n-1\n0.5\n1\n2\n", 3],
+        "subnormal.dat": ["0\n0\n5e-324\n5e-324\n", 2],
+        # 1e4 / mean(excesses) overflows
+        "tiny.dat": ["0\n1e-310\n2e-310\n", 2],
+    }
+
+
+def _run_estimate(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings():
+        # NumPy's floating-point warnings are not part of the command's output
+        warnings.simplefilter("ignore")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    return {"argv": argv, "code": code, "out": out.getvalue(), "err": err.getvalue()}
+
+
+def record_estimate_pin(files):
+    """Exit code, stdout and stderr of 'estimate' for each method, with and
+    without --k, on each data file, written to the current directory."""
+    calls = []
+    for name, (text, k) in files.items():
+        Path(name).write_text(text, encoding="utf-8")
+        for method in ESTIMATE_PIN_METHODS:
+            for extra in ([], ["--k", str(k)]):
+                calls.append(_run_estimate(["estimate", "--data", name, "--method", method, *extra]))
+    return calls
+
+
+class TestEstimatePin:
+    """'estimate' keeps its exact output on clean and degenerate data.
+
+    The pin was recorded with ``python tests/test_cli.py`` (with ``src`` on
+    the path).
+    """
+
+    def test_outputs_unchanged(self, tmp_path, monkeypatch):
+        pin = json.loads(ESTIMATE_PIN_PATH.read_text(encoding="utf-8"))
+        monkeypatch.chdir(tmp_path)
+        calls = record_estimate_pin(pin["files"])
+        assert len(calls) == len(pin["calls"])
+        for got, want in zip(calls, pin["calls"]):
+            assert got == want
+
+
 class TestUsage:
     def test_unknown_method_is_usage_error(self, capsys, tmp_path):
         path = write(tmp_path / "d.dat", "1.0\n2.0\n")
@@ -394,3 +475,15 @@ class TestUsage:
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
+
+
+if __name__ == "__main__":
+    files = _estimate_pin_files()
+    here = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            pin = {"files": files, "calls": record_estimate_pin(files)}
+        finally:
+            os.chdir(here)
+    ESTIMATE_PIN_PATH.write_text(json.dumps(pin, indent=1) + "\n", encoding="utf-8")

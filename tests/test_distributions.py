@@ -187,7 +187,10 @@ class TestRngStream:
         b = sample_gpd(p, 7, RngStream(7, 1))
         assert not np.array_equal(a[:7], b)
 
-    @pytest.mark.parametrize("seed,stream", [(-1, 0), (0, -2), (2**64, 0), (1.5, 0)])
+    # bool subclasses int, so True would pass for 1
+    @pytest.mark.parametrize(
+        "seed,stream", [(-1, 0), (0, -2), (2**64, 0), (1.5, 0), (True, 0), (0, True)]
+    )
     def test_key_validation(self, seed, stream):
         with pytest.raises(ValueError):
             RngStream(seed, stream)
@@ -228,6 +231,20 @@ class TestSamplers:
             sample_gpd(GpdParams(0.0, 1.0, 0.5), 0, RngStream(1, 0))
         with pytest.raises(ValueError):
             sample_student_t(2.0, -5, RngStream(1, 0))
+
+    @pytest.mark.parametrize(
+        "sampler",
+        [
+            lambda n, rng: sample_gpd(GpdParams(0.0, 1.0, 0.5), n, rng),
+            lambda n, rng: sample_pareto(ParetoParams(1.0, 2.0), n, rng),
+            lambda n, rng: sample_student_t(2.0, n, rng),
+            lambda n, rng: sample_symmetric_stable(1.5, n, rng),
+        ],
+        ids=["gpd", "pareto", "student-t", "stable"],
+    )
+    def test_bool_sample_size_rejected(self, sampler):
+        with pytest.raises(ValueError):
+            sampler(True, RngStream(1, 0))
 
     def test_student_t_cauchy_case(self):
         x = sample_student_t(1.0, 100_000, RngStream(4, 0))

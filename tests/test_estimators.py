@@ -1,6 +1,7 @@
 """Tests for the five shape-parameter estimators."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from tailshape import (
     ParetoParams,
     PlottingPosition,
     PwmSingularityError,
+    Reason,
     RngStream,
     estimate_gpd_mle,
     estimate_hill,
@@ -425,7 +427,8 @@ class TestGpdMleRowKernel:
     """The GPD ML row kernel against the 1-D solver it replaced."""
 
     def _check(self, stack):
-        xi, theta, converged, iterations = _gpd_mle_rows(stack)
+        xi, _, reason, theta, iterations, _ = _gpd_mle_rows(stack)
+        converged = reason != Reason.not_converged
         for i, row in enumerate(stack):
             expected = _outcome(_scalar_gpd_mle, row)
             assert _outcome(estimate_gpd_mle, row) == expected
@@ -433,6 +436,7 @@ class TestGpdMleRowKernel:
                 fit = _scalar_gpd_mle(row)
             except (ValueError, EstimationError):
                 continue  # the kernel row is that of the failing 1-D fit above
+            assert reason[i] in (Reason.ok, Reason.not_converged)
             d = fit.diagnostics
             row_fit = (xi[i], xi[i] / theta[i], theta[i], converged[i], iterations[i])
             assert repr(tuple(float(v) for v in row_fit)) == repr(
@@ -566,3 +570,121 @@ class TestGpdMleUnderflow:
         # converged fit with profile_loglik = -inf
         with pytest.raises(EstimationError, match="overflows"):
             estimate_gpd_mle([0.0, 1e-310])
+
+
+_ONE_ROW_ESTIMATORS = (estimate_pareto_ml, estimate_pwm, estimate_zhang_stephens, estimate_gpd_mle)
+# samples that every estimator rejects with the same ValueError
+_REJECTED_ALIKE = {
+    "one value": ([1.0], "need at least 2 observations, got 1"),
+    "nan": ([1.0, math.nan, 2.0], "sample contains non-finite values"),
+    "inf": ([1.0, math.inf], "sample contains non-finite values"),
+    "-inf": ([-math.inf, 1.0], "sample contains non-finite values"),
+}
+_NEGATIVE = [-1.0, 2.0, 3.0]
+_ZEROS = [0.0, 0.0, 0.0]
+_MEAN_UNDERFLOWS = [0.0, 0.0, 5e-324]
+_SCAN_RANGE_OVERFLOWS = [0.0, 1e-310, 0.0]  # 1e4 / mean(x) overflows
+_BEYOND_308_DECADES = [990.0, 2.2250738585072014e-308]
+_HUGE = [1.7e308, 1e-3]
+FAILURES = [
+    (name, fitter, values, ValueError, message)
+    for name, (values, message) in _REJECTED_ALIKE.items()
+    for fitter in _ONE_ROW_ESTIMATORS
+] + [
+    ("negative", estimate_pareto_ml, _NEGATIVE, ValueError,
+     "Pareto ML requires strictly positive observations"),
+    ("negative", estimate_pwm, _NEGATIVE, ValueError, "PWM requires non-negative excesses"),
+    ("negative", estimate_zhang_stephens, _NEGATIVE, ValueError,
+     "Zhang-Stephens requires non-negative excesses"),
+    ("negative", estimate_gpd_mle, _NEGATIVE, ValueError, "GPD MLE requires non-negative excesses"),
+    ("zeros", estimate_pareto_ml, _ZEROS, ValueError,
+     "Pareto ML requires strictly positive observations"),
+    ("zeros", estimate_pwm, _ZEROS, PwmSingularityError,
+     "probability-weighted-moment denominator a0 - 2*a1 = 0.0 is not positive"),
+    ("zeros", estimate_zhang_stephens, _ZEROS, EstimationError,
+     "Zhang-Stephens is undefined for an all-zero sample"),
+    ("zeros", estimate_gpd_mle, _ZEROS, EstimationError,
+     "GPD MLE is undefined for an all-zero sample"),
+    ("mean underflows", estimate_pwm, _MEAN_UNDERFLOWS, PwmSingularityError,
+     "probability-weighted-moment denominator a0 - 2*a1 = 0.0 is not positive"),
+    ("mean underflows", estimate_zhang_stephens, _MEAN_UNDERFLOWS, ValueError,
+     "xi_hat must be finite, got nan"),
+    ("mean underflows", estimate_gpd_mle, _MEAN_UNDERFLOWS, EstimationError,
+     "GPD MLE is undefined for a sample whose mean underflows to zero"),
+    ("scan range overflows", estimate_pwm, _SCAN_RANGE_OVERFLOWS, ValueError,
+     "sigma_hat must be positive when present, got 0.0"),
+    ("scan range overflows", estimate_zhang_stephens, _SCAN_RANGE_OVERFLOWS, ValueError,
+     "xi_hat must be finite, got nan"),
+    ("scan range overflows", estimate_gpd_mle, _SCAN_RANGE_OVERFLOWS, EstimationError,
+     "GPD MLE scan range 1e4/mean(x) overflows at mean(x) = 3.333333333333e-311"),
+    ("308 decades", estimate_pareto_ml, _BEYOND_308_DECADES, ValueError,
+     "xi_hat must be finite, got inf"),
+    ("308 decades", estimate_zhang_stephens, _BEYOND_308_DECADES, ValueError,
+     "xi_hat must be finite, got nan"),
+    ("huge", estimate_pwm, _HUGE, ValueError, "sigma_hat must be positive when present, got inf"),
+    ("non-positive threshold", partial(estimate_hill, k=3), [-3.0, -2.0, -1.0, 0.5, 1.0, 2.0],
+     ValueError, "Hill estimator needs a positive threshold X_(n-k)"),
+    ("nan", partial(estimate_hill, k=1), [1.0, math.nan, 2.0, 3.0], ValueError,
+     "sample contains non-finite values"),
+    ("inf", partial(estimate_hill, k=1), [1.0, 2.0, math.inf], ValueError,
+     "sample contains non-finite values"),
+    ("-inf below the threshold", partial(estimate_hill, k=1), [-math.inf, 1.0, 2.0, 3.0],
+     ValueError, "sample contains non-finite values"),
+    ("one value", partial(estimate_hill, k=1), [1.0], ValueError,
+     "need at least 2 observations, got 1"),
+]
+
+
+class TestFailureMessages:
+    """Each estimator's exception class and message on degenerate samples."""
+
+    @pytest.mark.parametrize(
+        "fitter, values, error, message",
+        [case[1:] for case in FAILURES],
+        ids=[f"{case[0]}-{getattr(case[1], '__name__', 'estimate_hill')}" for case in FAILURES],
+    )
+    def test_exact_error(self, fitter, values, error, message):
+        with pytest.raises(error) as info:
+            fitter(values)
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_zhang_stephens_degenerate_zero(self, monkeypatch):
+        # no sample found gives a weighted theta of exactly zero, so the
+        # weighted average over the grid is forced to zero
+        monkeypatch.setattr(np, "matmul", lambda a, b: np.zeros((len(a), 1, 1)))
+        with pytest.raises(EstimationError) as info:
+            estimate_zhang_stephens([1.0, 2.0, 4.0])
+        assert type(info.value) is EstimationError
+        assert str(info.value) == "Zhang-Stephens produced a degenerate zero estimate"
+
+    def test_gpd_mle_mean_overflow_has_no_estimate(self):
+        # the excesses' sum overflows, so the scan range 1e4 / mean(x) is empty:
+        # the fit has no finite estimate (this used to escape as NumPy's
+        # "Geometric sequence cannot include zero")
+        with pytest.raises(ValueError) as info:
+            estimate_gpd_mle([1.7e308, 1.7e308, 1.0])
+        assert type(info.value) is ValueError
+        assert str(info.value) == "xi_hat must be finite, got nan"
+
+    @pytest.mark.parametrize(
+        "values, expected",
+        [
+            ([1.0, math.nan, 2.0], ["non_finite"] * 4),
+            ([-math.inf, 1.0], ["non_finite"] * 4),
+            (_NEGATIVE, ["nonpositive", "negative", "negative", "negative"]),
+            (_ZEROS, ["nonpositive", "pwm_singular", "all_zero", "all_zero"]),
+            (_MEAN_UNDERFLOWS, ["nonpositive", "pwm_singular", "invalid_estimate", "mean_underflow"]),
+            (_SCAN_RANGE_OVERFLOWS,
+             ["nonpositive", "invalid_estimate", "invalid_estimate", "no_scan_range"]),
+            (_BEYOND_308_DECADES, ["invalid_estimate", "ok", "invalid_estimate", "not_converged"]),
+            ([1.7e308, 1.7e308, 1.0], ["ok", "invalid_estimate", "invalid_estimate", "invalid_estimate"]),
+            ([0.5, 1.0, 4.0], ["ok"] * 4),
+        ],
+    )
+    def test_stacked_reasons(self, values, expected):
+        # the reason of each one-row kernel fit, in _ONE_ROW_ESTIMATORS order
+        x = np.array([values])
+        plan = (EstimatorId.PARETO_ML, EstimatorId.PWM, EstimatorId.ZHANG_STEPHENS, EstimatorId.GPD_MLE)
+        fits = fit_all(x, x.min(axis=1), x, plan)
+        assert [Reason(fits[e][1][0]).name for e in plan] == expected

@@ -289,6 +289,30 @@ class TestTableDocuments:
         assert 0.5 * heuristic < summary.mc_se_mse < 2.0 * heuristic
 
 
+class TestFailureReasons:
+    def test_support_nonpositive_is_counted(self):
+        spec = ExperimentSpec(GpdSource(GpdParams(-1.0, 1.0, 0.5)), n=50, m=50)
+        summaries = {s.estimator: s for s in run_experiment(spec)}
+        for estimator in (EstimatorId.TRANSFORMED_ZS, EstimatorId.TRANSFORMED_PWM):
+            assert summaries[estimator].failures == 50
+            assert summaries[estimator].reasons == (("support_nonpositive", 50),)
+        for estimator in (EstimatorId.ZHANG_STEPHENS, EstimatorId.PWM):
+            assert (summaries[estimator].failures, summaries[estimator].reasons) == (0, ())
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_counts_add_up_to_failures(self, workers):
+        # n = k + 1 leaves a single excess wherever the top two values tie
+        specs = [
+            ExperimentSpec(GpdSource(GpdParams(0.0, 1e-320, 0.5)), n=20, m=12, seed=3),
+            ExperimentSpec(StudentTSource(1.0), n=6, m=12, k=5, seed=3),
+        ]
+        for result in run_experiments(specs, workers=workers):
+            for summary in result.summaries:
+                assert summary.failures == sum(count for _, count in summary.reasons)
+                assert all(count > 0 and reason != "ok" for reason, count in summary.reasons)
+        assert any(s.reasons for r in run_experiments(specs[:1]) for s in r.summaries)
+
+
 # ---------------------------------------------------------------------------
 # Registry pin: table1..table8 grids and CSVs at the default seed
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from tailshape import (
     GpdSource,
     ParetoParams,
     PotConfig,
+    Reason,
     RngStream,
     StudentTSource,
     estimate_hill,
@@ -273,6 +274,86 @@ class TestFitAll:
         assert out[EstimatorId.TRANSFORMED_PWM].startswith("initial PWM fit failed: ")
         assert isinstance(out[EstimatorId.PARETO_ML], FitResult)
 
+    @pytest.mark.parametrize(
+        "x, support, exc, expected",
+        [
+            (  # all-zero excesses defeat both initial fits
+                [1.0, 2.0, 3.0], 1.0, [0.0, 0.0, 0.0],
+                {
+                    EstimatorId.ZHANG_STEPHENS: "Zhang-Stephens is undefined for an all-zero sample",
+                    EstimatorId.PWM: "probability-weighted-moment denominator a0 - 2*a1 = 0.0 "
+                    "is not positive",
+                    EstimatorId.GPD_MLE: "GPD MLE is undefined for an all-zero sample",
+                    EstimatorId.TRANSFORMED_ZS: "initial Zhang-Stephens fit failed: "
+                    "Zhang-Stephens is undefined for an all-zero sample",
+                    EstimatorId.TRANSFORMED_PWM: "initial PWM fit failed: "
+                    "probability-weighted-moment denominator a0 - 2*a1 = 0.0 is not positive",
+                },
+            ),
+            (  # a negative support estimate
+                [-1.0, 0.5, 2.0, 3.0], -1.0, [1.5, 3.0, 4.0],
+                {
+                    EstimatorId.PARETO_ML: "Pareto ML requires strictly positive observations",
+                    EstimatorId.TRANSFORMED_ZS: "mu_hat must be a positive real for the "
+                    "three-parameter form, got -1.0",
+                    EstimatorId.TRANSFORMED_PWM: "mu_hat must be a positive real for the "
+                    "three-parameter form, got -1.0",
+                },
+            ),
+            (  # a zero support estimate
+                [0.0, 0.5, 2.0, 3.0], 0.0, [0.5, 2.0, 3.0],
+                {
+                    EstimatorId.PARETO_ML: "Pareto ML requires strictly positive observations",
+                    EstimatorId.TRANSFORMED_ZS: "mu_hat must be a positive real for the "
+                    "three-parameter form, got 0.0",
+                    EstimatorId.TRANSFORMED_PWM: "mu_hat must be a positive real for the "
+                    "three-parameter form, got 0.0",
+                },
+            ),
+            (  # an infinite observation, finite excesses
+                [1.0, 2.0, np.inf], 1.0, [1.0, 2.0],
+                {
+                    EstimatorId.PARETO_ML: "sample contains non-finite values",
+                    EstimatorId.TRANSFORMED_ZS: "sample contains non-finite values",
+                    EstimatorId.TRANSFORMED_PWM: "sample contains non-finite values",
+                },
+            ),
+            (  # one observation, two excesses
+                [2.0], 1.0, [1.0, 2.0],
+                {
+                    EstimatorId.PARETO_ML: "need at least 2 observations, got 1",
+                    EstimatorId.TRANSFORMED_ZS: "need at least 2 observations, got 1",
+                    EstimatorId.TRANSFORMED_PWM: "need at least 2 observations, got 1",
+                },
+            ),
+            (  # 1e4 / mean(excesses) overflows; the initial fits are not finite
+                [0.0, 1e-310, 2e-310], 0.0, [1e-310, 2e-310],
+                {
+                    EstimatorId.ZHANG_STEPHENS: "xi_hat must be finite, got nan",
+                    EstimatorId.PWM: "sigma_hat must be positive when present, got 0.0",
+                    EstimatorId.GPD_MLE: "GPD MLE scan range 1e4/mean(x) overflows at "
+                    "mean(x) = 1.49999999999997e-310",
+                    EstimatorId.PARETO_ML: "Pareto ML requires strictly positive observations",
+                    EstimatorId.TRANSFORMED_ZS: "initial Zhang-Stephens fit failed: "
+                    "xi_hat must be finite, got nan",
+                    EstimatorId.TRANSFORMED_PWM: "initial PWM fit failed: "
+                    "sigma_hat must be positive when present, got 0.0",
+                },
+            ),
+        ],
+        ids=["zero excesses", "negative support", "zero support", "inf", "one value", "tiny"],
+    )
+    def test_exact_failure_messages(self, x, support, exc, expected):
+        # every estimator not named fits its row
+        out = fit_all(np.array(x), support, np.array(exc), PLAN_ESTIMATORS)
+        assert {e: o for e, o in out.items() if isinstance(o, str)} == expected
+
+    def test_hill_failure_message(self):
+        res = pot_estimate([-3.0, -2.0, -1.0, 0.5, 1.0, 2.0], PotConfig(3))
+        assert res.failures == {
+            EstimatorId.HILL: "Hill estimator needs a positive threshold X_(n-k)"
+        }
+
     def test_hill_needs_pot_estimate(self):
         with pytest.raises(ValueError, match="pot_estimate"):
             fit_all(np.array([1.0, 2.0, 3.0]), 1.0, np.array([1.0, 2.0]), (EstimatorId.HILL,))
@@ -338,7 +419,9 @@ class TestFitAllStack:
             for estimator in wanted:
                 fit = one[estimator]
                 fitted = isinstance(fit, FitResult) and fit.diagnostics.get("converged", 1.0)
-                assert _bits(stacked[estimator][i]) == _bits(fit.xi_hat if fitted else np.nan)
+                xi, reason = stacked[estimator]
+                assert _bits(xi[i]) == _bits(fit.xi_hat if fitted else np.nan)
+                assert (reason[i] == Reason.ok) == bool(fitted)
 
     def test_row_failure_fails_only_its_row(self):
         good = sample_gpd(GpdParams(1.0, 1.0, 0.5), 30, RngStream(62, 0))
@@ -348,7 +431,9 @@ class TestFitAllStack:
         support = x.min(axis=1)
         exc = x - support[:, None]
         exc[3] = np.linspace(0.0, 1.0, 30)  # finite and short-tailed
-        stacked = fit_all(x, support, exc, PLAN_ESTIMATORS)
+        fits = fit_all(x, support, exc, PLAN_ESTIMATORS)
+        stacked = {estimator: xi for estimator, (xi, _) in fits.items()}
+        reasons = {estimator: [Reason(r).name for r in fits[estimator][1]] for estimator in fits}
         for estimator in PLAN_ESTIMATORS:
             assert np.isfinite(stacked[estimator][0])
         # all-equal: zero excesses; shifted below zero: no Pareto ML or transform
@@ -362,6 +447,39 @@ class TestFitAllStack:
         assert stacked[EstimatorId.PWM][3] < 0
         assert np.isnan(stacked[EstimatorId.TRANSFORMED_PWM][3])
         assert np.isnan(stacked[EstimatorId.TRANSFORMED_ZS][3])
+        assert reasons[EstimatorId.ZHANG_STEPHENS] == ["ok", "all_zero", "ok", "ok"]
+        assert reasons[EstimatorId.PARETO_ML] == ["ok", "ok", "nonpositive", "non_finite"]
+        assert reasons[EstimatorId.TRANSFORMED_PWM] == [
+            "ok", "initial_failed", "support_nonpositive", "non_finite"
+        ]
+
+    def test_no_one_row_fallback(self, monkeypatch):
+        # a stack is fitted by the row kernels alone, failing rows included
+        def refuse(*args):
+            raise AssertionError("a 1-D estimator ran on a row of a stack")
+
+        for name in (
+            "estimate_zhang_stephens",
+            "estimate_pwm",
+            "estimate_gpd_mle",
+            "estimate_pareto_ml",
+            "iterate_transform",
+        ):
+            monkeypatch.setattr(tailshape.pot, name, refuse)
+        x = np.array([[1.0, 2.0, 4.0], [2.0, 2.0, 2.0], [-1.0, 0.5, 3.0], [1.0, 2.0, np.inf]])
+        support = x.min(axis=1)
+        stacked = fit_all(x, support, x - support[:, None], PLAN_ESTIMATORS)
+        initial = ["ok", "initial_failed", "support_nonpositive", "initial_failed"]
+        assert {e: [Reason(r).name for r in reason] for e, (_, reason) in stacked.items()} == {
+            EstimatorId.ZHANG_STEPHENS: ["ok", "all_zero", "ok", "non_finite"],
+            EstimatorId.PWM: ["ok", "pwm_singular", "ok", "non_finite"],
+            EstimatorId.GPD_MLE: ["not_converged", "all_zero", "not_converged", "non_finite"],
+            EstimatorId.PARETO_ML: ["ok", "ok", "nonpositive", "non_finite"],
+            EstimatorId.TRANSFORMED_ZS: initial,
+            EstimatorId.TRANSFORMED_PWM: initial,
+        }
+        for xi, reason in stacked.values():
+            assert ((reason == Reason.ok) == np.isfinite(xi)).all()
 
     def test_gpd_rows_without_a_fit_fail_alone(self):
         exc = np.array([
@@ -373,8 +491,13 @@ class TestFitAllStack:
             [-1.0, 2.0, 3.0],
             [2.0, 0.25, 7.0],
         ])
-        stacked = fit_all(exc, exc.min(axis=1), exc, (EstimatorId.GPD_MLE,))[EstimatorId.GPD_MLE]
+        stacked, reasons = fit_all(exc, exc.min(axis=1), exc, (EstimatorId.GPD_MLE,))[
+            EstimatorId.GPD_MLE
+        ]
         assert np.isfinite(stacked[[0, 6]]).all() and np.isnan(stacked[1:6]).all()
+        assert [Reason(r).name for r in reasons] == [
+            "ok", "mean_underflow", "all_zero", "no_scan_range", "invalid_estimate", "negative", "ok"
+        ]
         for i, row in enumerate(exc):
             one = fit_all(row, float(row.min()), row, (EstimatorId.GPD_MLE,))[EstimatorId.GPD_MLE]
             assert isinstance(one, FitResult) == (i in (0, 6))
@@ -478,9 +601,12 @@ class TestBatchedReplication:
         with pytest.MonkeyPatch.context() as patch:
             if budget is not None:
                 patch.setattr(montecarlo, "ELEMENT_BUDGET", budget)
-            whole = montecarlo._replicate_range(spec, 0, m)
+            whole, whole_reasons = montecarlo._replicate_range(spec, 0, m)
             parts = [montecarlo._replicate_range(spec, a, b) for a, b in zip(bounds, bounds[1:])]
-        _slots_equal(whole, {e: np.concatenate([p[e] for p in parts]) for e in whole})
+        _slots_equal(whole, {e: np.concatenate([p[0][e] for p in parts]) for e in whole})
+        for e in whole:
+            assert (np.concatenate([p[1][e] for p in parts]) == whole_reasons[e]).all()
+            assert ((whole_reasons[e] == Reason.ok) == np.isfinite(whole[e])).all()
         # each slot is the 1-D fit_all of its own replication
         expected = {e: np.full(m, np.nan) for e in PLAN_ESTIMATORS}
         for r in range(m):
@@ -511,9 +637,12 @@ class TestBatchedReplication:
         with pytest.MonkeyPatch.context() as patch:
             if budget is not None:
                 patch.setattr(montecarlo, "ELEMENT_BUDGET", budget)
-            whole = montecarlo._replicate_range(spec, 0, m)
+            whole, whole_reasons = montecarlo._replicate_range(spec, 0, m)
             parts = [montecarlo._replicate_range(spec, a, b) for a, b in zip(bounds, bounds[1:])]
-        _slots_equal(whole, {e: np.concatenate([p[e] for p in parts]) for e in whole})
+        _slots_equal(whole, {e: np.concatenate([p[0][e] for p in parts]) for e in whole})
+        for e in whole:
+            assert (np.concatenate([p[1][e] for p in parts]) == whole_reasons[e]).all()
+            assert ((whole_reasons[e] == Reason.ok) == np.isfinite(whole[e])).all()
         _slots_equal(whole, _pot_slots(spec))
 
     @pytest.mark.parametrize("fold", [True, False])
@@ -529,8 +658,9 @@ class TestBatchedReplication:
         # rows with k, with 2 to k - 1 and with fewer than 2 excesses
         assert spec.k in counts
         assert any(2 <= c < spec.k for c in counts) and any(c < 2 for c in counts)
-        slots = montecarlo._replicate_range(spec, 0, spec.m)
+        slots, reasons = montecarlo._replicate_range(spec, 0, spec.m)
         _slots_equal(slots, _pot_slots(spec))
         failed = np.array(counts) < 2
         for estimator in POT_ESTIMATORS:
             assert np.isnan(slots[estimator][failed]).all()
+            assert (reasons[estimator][failed] == Reason.too_few).all()
