@@ -326,8 +326,10 @@ def _cmd_simulate(args) -> int:
 
     all_rows = []
     columns = None
+    # one process pool runs every group's scenarios
+    done = iter(run_experiments([spec for _, specs in groups for spec in specs], args.threads))
     for label, specs in groups:
-        results = run_experiments(specs, workers=args.threads)
+        results = [next(done) for _ in specs]
         for cell, result in enumerate(results, start=1):
             spec, param = result.spec, result.spec.source.param_name
             for s in result.summaries:

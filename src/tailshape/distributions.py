@@ -7,6 +7,15 @@ Type I distribution, Student's t and the symmetric alpha-stable family.
 All samplers draw from an :class:`RngStream`, a reproducible stream keyed by
 ``(seed, stream_id)``; a fixed key always reproduces the same sample, so one
 stream per Monte Carlo replication makes serial and parallel runs agree.
+
+Each sampler is written as its raw draws (uniforms; normals and chi-squares;
+uniforms and exponentials) and a transform of them (the GPD or Pareto
+quantile, the normal-over-chi-square ratio, Chambers-Mallows-Stuck).  The
+replication engine draws many streams at once through a private
+:class:`_StreamBlock`: it hashes a block of stream keys in one pass, draws
+each row's raw variates from its own stream and applies the sampler's
+transform once to the whole stack, so row i is bit for bit the sample that
+``RngStream(seed, ids[i])`` gives.
 """
 
 from __future__ import annotations
@@ -115,6 +124,115 @@ class RngStream:
         return self._generator
 
 
+# NumPy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding, as in
+# numpy/random/bit_generator.pyx and pcg64.h: the hash constants, the chain of
+# multipliers each hash call advances, and the 128-bit LCG multiplier.
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK_128 = 2**128 - 1
+
+
+def _chain(init: int, mult: int, count: int) -> np.ndarray:
+    """``init`` and its ``count`` successors under multiplication by ``mult``
+    mod 2^32, as a column of uint32."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, dtype=np.uint32)[:, None]
+
+
+# hashmix i xors with _HASH_A[i] and multiplies by _HASH_A[i + 1]: 4 calls fill
+# the pool, 12 mix it; generate_state does the same with _HASH_B for 8 words
+_HASH_A = _chain(0x43B0D7E5, 0x931E8875, 16)
+_HASH_B = _chain(0x8B51F9DD, 0x58F38DED, 8)
+
+
+def _shift_xor(v: np.ndarray) -> np.ndarray:
+    v ^= v >> np.uint32(16)
+    return v
+
+
+def _stream_keys(seed: int, ids: range) -> np.ndarray:
+    """Seed and increment words of ``PCG64(SeedSequence([seed, id]))`` for
+    each id, as a (4, len(ids)) uint64 array: seed high and low, increment
+    high and low.
+
+    SeedSequence turns the key into little-endian uint32 words, one for a
+    value below 2^32, else two; seed and id take at most four, so they fill
+    the pool of four with zero words after them, and a zero word hashes as
+    the padding does.  So the entropy of every id is the seed's words, then
+    the id's low and high words, cut to four, whichever ids need two words.
+    The hash runs on every id at once in uint32 arithmetic, which wraps as
+    SeedSequence's does.
+    """
+    ids = np.fromiter(ids, dtype=np.uint64, count=len(ids))
+    words = [seed & 0xFFFFFFFF] + ([seed >> 32] if seed >> 32 else [])
+    words += [ids & np.uint64(0xFFFFFFFF), ids >> np.uint64(32), 0]
+    pool = np.empty((4, ids.size), dtype=np.uint32)
+    for row, word in enumerate(words[:4]):
+        pool[row] = word
+    # hashmix of each entropy word into the pool
+    pool ^= _HASH_A[:4]
+    pool *= _HASH_A[1:5]
+    _shift_xor(pool)
+    # every pool word mixed into every other: the source word is not written
+    # while it is mixed into the other three, so those three hash at once
+    for src in range(4):
+        dst = [d for d in range(4) if d != src]
+        hashed = pool[src] ^ _HASH_A[4 + 3 * src : 7 + 3 * src]
+        hashed *= _HASH_A[5 + 3 * src : 8 + 3 * src]
+        pool[dst] = _shift_xor(_MIX_L * pool[dst] - _MIX_R * _shift_xor(hashed))
+    # generate_state(4, uint64): 8 words cycling over the pool, paired low-high
+    state = np.concatenate([pool, pool]) ^ _HASH_B[:8]
+    state *= _HASH_B[1:]
+    state = _shift_xor(state).astype(np.uint64)
+    return state[0::2] | state[1::2] << np.uint64(32)
+
+
+@dataclass(frozen=True, eq=False)
+class _StreamBlock:
+    """The streams ``(seed, r)`` for a block of ids r, keyed at once.
+
+    Row i draws exactly what ``RngStream(seed, ids[i])`` draws: :meth:`keyed`
+    computes every row's PCG64 starting state in one hash pass, and one
+    PCG64, created then and shared by the block's slices, is set to each
+    row's state in turn before the row is drawn.
+    """
+
+    keys: np.ndarray  # (4, rows) words of _stream_keys
+    _generator: np.random.Generator = field(repr=False, compare=False)
+
+    @classmethod
+    def keyed(cls, seed: int, ids: range) -> "_StreamBlock":
+        return cls(_stream_keys(seed, ids), np.random.Generator(np.random.PCG64(0)))
+
+    def __len__(self) -> int:
+        return self.keys.shape[1]
+
+    def __getitem__(self, rows: slice) -> "_StreamBlock":
+        """The streams of rows ``rows`` of the block."""
+        return _StreamBlock(self.keys[:, rows], self._generator)
+
+    def draw(self, n: int, draws, *args) -> tuple[np.ndarray, ...]:
+        """Per raw draw of the sampler ``draws(generator, n, *args)``, the
+        (rows, n) stack of it, row i drawn from the block's stream i."""
+        bitgen = self._generator.bit_generator
+        pcg = {"state": 0, "inc": 0}
+        state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
+        rows = []
+        for s_hi, s_lo, inc_hi, inc_lo in self.keys.T.tolist():
+            # PCG's set-sequence seeding: inc = 2 initseq + 1, then one LCG
+            # step, the seed added, and another step
+            inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK_128
+            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK_128
+            pcg["inc"] = inc
+            bitgen.state = state
+            rows.append(draws(self._generator, n, *args))
+        if len(rows) == 1:  # a view: long samples are drawn one row at a time
+            return tuple(raw[None] for raw in rows[0])
+        return tuple(np.stack(raws) for raws in zip(*rows))
+
+
 def _check_count(n: int) -> int:
     if not _is_int(n) or n < 1:
         raise ValueError(f"sample size must be a positive integer, got {n!r}")
@@ -163,18 +281,22 @@ def gpd_cdf(params: GpdParams, x):
     return _maybe_scalar(out, x)
 
 
+def _gpd_quantile(params: GpdParams, p: np.ndarray) -> np.ndarray:
+    return params.mu + (params.sigma / params.xi) * ((1.0 - p) ** (-params.xi) - 1.0)
+
+
 def gpd_quantile(params: GpdParams, prob):
     """Inverse of the GPD distribution function for prob in [0, 1)."""
-    p = _probs(prob)
-    out = params.mu + (params.sigma / params.xi) * ((1.0 - p) ** (-params.xi) - 1.0)
-    return _maybe_scalar(out, prob)
+    return _maybe_scalar(_gpd_quantile(params, _probs(prob)), prob)
+
+
+def _uniform(g: np.random.Generator, n: int) -> tuple[np.ndarray]:
+    return (g.random(n),)
 
 
 def sample_gpd(params: GpdParams, n: int, rng: RngStream) -> np.ndarray:
     """Draw n GPD variates by inverse CDF applied to uniforms from ``rng``."""
-    n = _check_count(n)
-    u = rng.generator.random(n)
-    return np.asarray(gpd_quantile(params, u))
+    return _gpd_quantile(params, *_uniform(rng.generator, _check_count(n)))
 
 
 def pareto_pdf(params: ParetoParams, z):
@@ -198,18 +320,18 @@ def pareto_cdf(params: ParetoParams, z):
     return _maybe_scalar(out, z)
 
 
+def _pareto_quantile(params: ParetoParams, p: np.ndarray) -> np.ndarray:
+    return params.mu * (1.0 - p) ** (-1.0 / params.alpha)
+
+
 def pareto_quantile(params: ParetoParams, prob):
     """Inverse of the Pareto distribution function: mu * (1 - p)**(-1/alpha)."""
-    p = _probs(prob)
-    out = params.mu * (1.0 - p) ** (-1.0 / params.alpha)
-    return _maybe_scalar(out, prob)
+    return _maybe_scalar(_pareto_quantile(params, _probs(prob)), prob)
 
 
 def sample_pareto(params: ParetoParams, n: int, rng: RngStream) -> np.ndarray:
     """Draw n Pareto variates by inverse CDF applied to uniforms from ``rng``."""
-    n = _check_count(n)
-    u = rng.generator.random(n)
-    return np.asarray(pareto_quantile(params, u))
+    return _pareto_quantile(params, *_uniform(rng.generator, _check_count(n)))
 
 
 def _check_df(df: float) -> None:
@@ -222,6 +344,14 @@ def _check_index(index: float) -> None:
         raise ValueError(f"stability index must lie in (0, 2], got {index}")
 
 
+def _normal_chisquare(g: np.random.Generator, n: int, df: float) -> tuple[np.ndarray, ...]:
+    return g.standard_normal(n), g.chisquare(df, n)
+
+
+def _student_t(df: float, z: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return z / np.sqrt(w / df)
+
+
 def sample_student_t(df: float, n: int, rng: RngStream) -> np.ndarray:
     """Draw n standard Student's t variates with ``df`` degrees of freedom.
 
@@ -229,11 +359,20 @@ def sample_student_t(df: float, n: int, rng: RngStream) -> np.ndarray:
     purposes the implied GPD shape of threshold excesses is 1/df.
     """
     _check_df(df)
-    n = _check_count(n)
-    g = rng.generator
-    z = g.standard_normal(n)
-    w = g.chisquare(df, n)
-    return z / np.sqrt(w / df)
+    return _student_t(df, *_normal_chisquare(rng.generator, _check_count(n), df))
+
+
+def _uniform_exponential(g: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
+    return g.random(n), g.standard_exponential(n)
+
+
+def _stable(index: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    phi = np.pi * (u - 0.5)
+    return (
+        np.sin(index * phi)
+        / np.cos(phi) ** (1.0 / index)
+        * (np.cos((index - 1.0) * phi) / w) ** ((1.0 - index) / index)
+    )
 
 
 def sample_symmetric_stable(index: float, n: int, rng: RngStream) -> np.ndarray:
@@ -249,12 +388,4 @@ def sample_symmetric_stable(index: float, n: int, rng: RngStream) -> np.ndarray:
     tan(Phi) (standard Cauchy) and index = 2 yields N(0, 2).
     """
     _check_index(index)
-    n = _check_count(n)
-    g = rng.generator
-    phi = np.pi * (g.random(n) - 0.5)
-    w = g.standard_exponential(n)
-    return (
-        np.sin(index * phi)
-        / np.cos(phi) ** (1.0 / index)
-        * (np.cos((index - 1.0) * phi) / w) ** ((1.0 - index) / index)
-    )
+    return _stable(index, *_uniform_exponential(rng.generator, _check_count(n)))

@@ -13,12 +13,17 @@ fits the strictly positive excesses over it (Pareto ML and the transforms the
 original observations).  Scenarios with k follow
 :func:`tailshape.pot.pot_estimate`: each sample is reduced at once to its
 threshold X_(n-k), its excesses over it and its k largest values, which the
-Hill row kernel fits.  Replications are batched: a chunk of them is drawn,
-one row per stream, and fitted by one stacked ``fit_all`` call per excess
-count (ties leave fewer excesses).  A chunk holds an eighth of
-:data:`tailshape.estimators.ELEMENT_BUDGET` values (n per row, or k in POT
-runs, whose samples are never stacked), so memory does not grow with m, and
-every row gets exactly the estimates of a replication fitted alone.
+Hill row kernel fits.  Replications are batched: the stream keys of a block
+of them are hashed at once, a chunk of the block is drawn, one row per
+stream, through its source's ``sample_rows``, and fitted by one stacked
+``fit_all`` call per excess count (ties leave fewer excesses).  Every row is
+bit for bit the sample ``source.sample(n, RngStream(seed, r))`` gives.  A
+chunk holds an eighth of :data:`tailshape.estimators.ELEMENT_BUDGET` values
+(n per row, or k in POT runs, whose samples are drawn a few rows at a time
+and reduced at once), so memory does not grow with m, and every row gets
+exactly the estimates of a replication fitted alone.  With several workers,
+:func:`run_experiments` runs every scenario's replication ranges in one
+process pool.
 
 Summaries report MSE, bias (true shape minus average estimate), relative
 efficiency against the asymptotic ML benchmark ``((1 + xi)^2 / n) / MSE`` and
@@ -50,6 +55,13 @@ from .distributions import (
     RngStream,
     _check_df,
     _check_index,
+    _gpd_quantile,
+    _normal_chisquare,
+    _stable,
+    _StreamBlock,
+    _student_t,
+    _uniform,
+    _uniform_exponential,
     sample_gpd,
     sample_student_t,
     sample_symmetric_stable,
@@ -109,6 +121,11 @@ class GpdSource:
     def sample(self, n: int, rng: RngStream) -> np.ndarray:
         return sample_gpd(self.params, n, rng)
 
+    def sample_rows(self, n: int, streams: _StreamBlock) -> np.ndarray:
+        """One sample per stream of ``streams``, stacked: row i is
+        :meth:`sample` on the stream of row i, bit for bit."""
+        return _gpd_quantile(self.params, *streams.draw(n, _uniform))
+
     def descriptor(self) -> dict:
         return {
             "source": "gpd",
@@ -143,6 +160,9 @@ class GpdParetoSource:
     def sample(self, n: int, rng: RngStream) -> np.ndarray:
         return sample_gpd(self.params, n, rng)
 
+    def sample_rows(self, n: int, streams: _StreamBlock) -> np.ndarray:
+        return _gpd_quantile(self.params, *streams.draw(n, _uniform))
+
     def descriptor(self) -> dict:
         return {"source": "gpd_pareto", "mu": self.mu, "xi": self.xi}
 
@@ -164,6 +184,9 @@ class StudentTSource:
     def sample(self, n: int, rng: RngStream) -> np.ndarray:
         return sample_student_t(self.df, n, rng)
 
+    def sample_rows(self, n: int, streams: _StreamBlock) -> np.ndarray:
+        return _student_t(self.df, *streams.draw(n, _normal_chisquare, self.df))
+
     def descriptor(self) -> dict:
         return {"source": "student_t", "df": self.df}
 
@@ -184,6 +207,9 @@ class StableSource:
 
     def sample(self, n: int, rng: RngStream) -> np.ndarray:
         return sample_symmetric_stable(self.index, n, rng)
+
+    def sample_rows(self, n: int, streams: _StreamBlock) -> np.ndarray:
+        return _stable(self.index, *streams.draw(n, _uniform_exponential))
 
     def descriptor(self) -> dict:
         return {"source": "stable", "index": self.index}
@@ -304,46 +330,51 @@ def _replicate_range(spec: ExperimentSpec, start: int, stop: int):
     stream (seed, r).  Returns ``(slots, reasons)``: per estimator, each
     replication's estimate (NaN where it failed) and its reason.
 
-    A chunk of replications is drawn at once, one row per replication, and
-    its rows are fitted by one :func:`tailshape.pot.fit_all` call per excess
-    count (rows with ties have fewer excesses).  About eight (rows x width)
-    arrays are alive while a chunk is fitted, where the width is n, or k in
-    peaks-over-threshold runs, so a chunk holds an eighth of the element
-    budget.
+    The stream keys are hashed a block of an eighth of the element budget of
+    replications at a time (:class:`tailshape.distributions._StreamBlock`),
+    so the hash's fixed cost is shared by up to thousands of rows and its
+    states do not grow with m.  Within a block, a chunk of replications is
+    drawn at once, one row per stream, and its rows are fitted by one
+    :func:`tailshape.pot.fit_all` call per excess count (rows with ties have
+    fewer excesses).  About eight (rows x width) arrays are alive while a
+    chunk is fitted, where the width is n, or k in peaks-over-threshold runs,
+    so a chunk holds an eighth of the element budget.
     """
     slots = {est: np.full(stop - start, np.nan) for est in spec.estimator_set}
     # pot_estimate fails every estimator of a row with fewer than 2 excesses
     reasons = {est: np.full(stop - start, Reason.too_few) for est in spec.estimator_set}
     plan = [est for est in spec.estimator_set if est is not EstimatorId.HILL]
     pot = spec.k is not None
+    block = ELEMENT_BUDGET // 8
     chunk = max(1, ELEMENT_BUDGET // (8 * (spec.k if pot else spec.n)))
-    for a in range(start, stop, chunk):
-        reps = range(a, min(a + chunk, stop))
-        rows_at = a - start
-        if pot:
-            count, stack, hill = _draw_pot(spec, reps)
-            if EstimatorId.HILL in slots:
-                at = slice(rows_at, rows_at + len(reps))
-                slots[EstimatorId.HILL][at], reasons[EstimatorId.HILL][at] = hill
-        else:
-            count, stack = _draw_minimum(spec, reps)
-        for width in dict.fromkeys(count.tolist()):
-            if pot and width < 2:  # the whole replication fails as too few
-                continue
-            rows = np.flatnonzero(count == width)
-            # pot_estimate runs no refresh rounds
-            fits = fit_all(*stack(rows, width), plan, 0 if pot else spec.rounds)
-            for est, (xi, reason) in fits.items():
-                slots[est][rows_at + rows], reasons[est][rows_at + rows] = xi, reason
+    for b in range(start, stop, block):
+        streams = _StreamBlock.keyed(spec.seed, range(b, min(b + block, stop)))
+        for a in range(0, len(streams), chunk):
+            rows_at = b - start + a
+            if pot:
+                count, stack, hill = _draw_pot(spec, streams[a : a + chunk])
+                if EstimatorId.HILL in slots:
+                    at = slice(rows_at, rows_at + len(count))
+                    slots[EstimatorId.HILL][at], reasons[EstimatorId.HILL][at] = hill
+            else:
+                count, stack = _draw_minimum(spec, streams[a : a + chunk])
+            for width in dict.fromkeys(count.tolist()):
+                if pot and width < 2:  # the whole replication fails as too few
+                    continue
+                rows = np.flatnonzero(count == width)
+                # pot_estimate runs no refresh rounds
+                fits = fit_all(*stack(rows, width), plan, 0 if pot else spec.rounds)
+                for est, (xi, reason) in fits.items():
+                    slots[est][rows_at + rows], reasons[est][rows_at + rows] = xi, reason
     return slots, reasons
 
 
-def _draw_minimum(spec: ExperimentSpec, reps: range):
-    """Draw replications ``reps`` for the excess-over-minimum recipe: each
-    row's excess count and ``stack(rows, width)``, the ``fit_all`` arguments
-    ``(x, minimum, excesses over it)`` of rows with that count (sample order
-    kept)."""
-    x = np.stack([spec.source.sample(spec.n, RngStream(spec.seed, r)) for r in reps])
+def _draw_minimum(spec: ExperimentSpec, streams: _StreamBlock):
+    """Draw one replication per stream of ``streams`` for the
+    excess-over-minimum recipe: each row's excess count and ``stack(rows,
+    width)``, the ``fit_all`` arguments ``(x, minimum, excesses over it)`` of
+    rows with that count (sample order kept)."""
+    x = spec.source.sample_rows(spec.n, streams)
     mu_hat = x.min(axis=1)
     above = x > mu_hat[:, None]
 
@@ -356,35 +387,39 @@ def _draw_minimum(spec: ExperimentSpec, reps: range):
     return above.sum(axis=1), stack
 
 
-def _draw_pot(spec: ExperimentSpec, reps: range):
-    """Draw replications ``reps`` for the peaks-over-threshold recipe of
-    :func:`tailshape.pot.pot_estimate`: each row's excess count, ``stack(rows,
-    width)`` as in :func:`_draw_minimum` with the smallest excess as support,
-    and each row's Hill estimate and reason.
+def _draw_pot(spec: ExperimentSpec, streams: _StreamBlock):
+    """Draw one replication per stream of ``streams`` for the
+    peaks-over-threshold recipe of :func:`tailshape.pot.pot_estimate`: each
+    row's excess count, ``stack(rows, width)`` as in :func:`_draw_minimum`
+    with the smallest excess as support, and each row's Hill estimate and
+    reason.
 
-    Each sample is drawn, folded if asked, and reduced at once to its
-    threshold X_(n-k), its excesses over it (sample order kept), its k
-    largest values and its minimum, so only (rows x k) arrays are kept.  Hill
-    is NaN where its kernel fails the row or the row has fewer than 2
-    excesses.
+    Samples are drawn (and folded if asked) a sub-chunk of an eighth of the
+    element budget at a time, and each is reduced at once to its threshold
+    X_(n-k), its excesses over it (sample order kept), its k largest values
+    and its minimum, so only (rows x k) arrays are kept.  Hill is NaN where
+    its kernel fails the row or the row has fewer than 2 excesses.
     """
-    threshold = np.empty(len(reps))
-    low = np.empty(len(reps))
-    count = np.empty(len(reps), dtype=int)
+    size = len(streams)
+    threshold = np.empty(size)
+    low = np.empty(size)
+    count = np.empty(size, dtype=int)
     # row i holds its count[i] excesses first; at most k values exceed X_(n-k)
-    excesses, top = np.empty((len(reps), spec.k)), np.empty((len(reps), spec.k))
-    for row, r in enumerate(reps):
-        x = spec.source.sample(spec.n, RngStream(spec.seed, r))
+    excesses, top = np.empty((size, spec.k)), np.empty((size, spec.k))
+    per_draw = max(1, ELEMENT_BUDGET // (8 * spec.n))
+    for a in range(0, size, per_draw):
+        xs = spec.source.sample_rows(spec.n, streams[a : a + per_draw])
         if spec.fold_absolute:
-            x = np.abs(x)
-        threshold[row], top[row] = _top_k(x, spec.k)
-        above = x[x > threshold[row]]
-        count[row] = above.size
-        np.subtract(above, threshold[row], out=excesses[row, : above.size])
-        low[row] = x.min()
+            np.abs(xs, out=xs)
+        for row, x in enumerate(xs, start=a):
+            threshold[row], top[row] = _top_k(x, spec.k)
+            above = x[x > threshold[row]]
+            count[row] = above.size
+            np.subtract(above, threshold[row], out=excesses[row, : above.size])
+            low[row] = x.min()
 
     def stack(rows, width):
-        whole = width == spec.k and rows.size == len(reps)
+        whole = width == spec.k and rows.size == size
         exc = excesses if whole else excesses[rows, :width]
         return exc, exc.min(axis=1), exc
 
@@ -427,31 +462,47 @@ def _summarize(
 def run_experiment(spec: ExperimentSpec, workers: int = 1) -> list[ReplicationSummary]:
     """Run all replications of one scenario and summarize per estimator.
 
-    ``workers > 1`` distributes replication blocks over processes; results are
-    placed into per-replication slots, so the summaries are bit-identical for
-    any worker count or scheduling order.
+    The same as :func:`run_experiments` on ``[spec]``.
     """
-    if not _is_int(workers) or workers < 1:
-        raise ValueError(f"workers must be a positive integer, got {workers!r}")
-    if workers == 1 or spec.m < 4:
-        slots, reasons = _replicate_range(spec, 0, spec.m)
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # consecutive non-empty ranges covering [0, m), at most m of them
-        bounds = np.linspace(0, spec.m, min(workers * 4, spec.m) + 1, dtype=int).tolist()
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(partial(_replicate_range, spec), bounds[:-1], bounds[1:]))
-        slots = {est: np.concatenate([p[0][est] for p in parts]) for est in spec.estimator_set}
-        reasons = {est: np.concatenate([p[1][est] for p in parts]) for est in spec.estimator_set}
-    return [_summarize(spec, est, slots[est], reasons[est]) for est in spec.estimator_set]
+    return list(run_experiments([spec], workers)[0].summaries)
 
 
 def run_experiments(specs, workers: int = 1) -> list[ExperimentResult]:
-    """Run several scenarios, preserving order."""
-    return [
-        ExperimentResult(spec, tuple(run_experiment(spec, workers=workers))) for spec in specs
-    ]
+    """Run several scenarios, preserving order.
+
+    ``workers > 1`` runs every scenario's replication ranges as jobs of one
+    process pool; results are placed into per-replication slots, so the
+    summaries are bit-identical for any worker count or scheduling order.
+    """
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers!r}")
+    specs = list(specs)
+    if workers == 1 or all(spec.m < 4 for spec in specs):
+        parts = [[_replicate_range(spec, 0, spec.m)] for spec in specs]
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            jobs = []
+            for spec in specs:
+                # consecutive non-empty ranges covering [0, m), at most m of them
+                bounds = np.linspace(0, spec.m, min(workers * 4, spec.m) + 1, dtype=int).tolist()
+                jobs.append([pool.submit(_replicate_range, spec, a, b)
+                             for a, b in zip(bounds, bounds[1:])])
+            parts = [[job.result() for job in spec_jobs] for spec_jobs in jobs]
+    results = []
+    for spec, part in zip(specs, parts):
+        summaries = (
+            _summarize(
+                spec,
+                est,
+                np.concatenate([slots[est] for slots, _ in part]),
+                np.concatenate([reasons[est] for _, reasons in part]),
+            )
+            for est in spec.estimator_set
+        )
+        results.append(ExperimentResult(spec, tuple(summaries)))
+    return results
 
 
 # ---------------------------------------------------------------------------

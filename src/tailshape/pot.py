@@ -45,7 +45,7 @@ from .estimators import (
     estimate_pwm,
     estimate_zhang_stephens,
 )
-from .transform import _iterate_transform_rows, iterate_transform
+from .transform import _iterate_transform_rows, _transform_row_checks, iterate_transform
 
 __all__ = [
     "DEFAULT_POT_ESTIMATORS",
@@ -139,18 +139,18 @@ def _one_fit(estimator: EstimatorId, x, support, exc, rounds: int, fits) -> FitR
     return _attempt(fitter, x if estimator is EstimatorId.PARETO_ML else exc)
 
 
-def _kernel_fits(estimator: EstimatorId, x, support, exc, srt, rounds: int, fits):
+def _kernel_fits(estimator: EstimatorId, x, support, exc, srt, checked, rounds: int, fits):
     """``(xi, scale, reason)`` of each row of a stack from the row kernel of
     ``estimator``, with ``srt`` the sorted excesses.  A transformed estimator
-    transforms ``x`` with its initial fit in ``fits``.  Rows of fewer than 2
-    values fail as too few."""
+    transforms ``x`` with its initial fit in ``fits``, ``checked`` being the
+    transform's row checks.  Rows of fewer than 2 values fail as too few."""
     nan = np.full(len(x), np.nan)
     on_x = estimator is EstimatorId.PARETO_ML or estimator in _INITIAL
     if (x if on_x else exc).shape[1] < 2:
         return nan, nan, np.full(len(x), Reason.too_few)
     if estimator in _INITIAL:
         xi, sigma, initial = fits[_INITIAL[estimator][0]]
-        xi, reason = _iterate_transform_rows(x, support, sigma, xi, rounds, initial)
+        xi, reason = _iterate_transform_rows(x, support, sigma, xi, rounds, initial, checked)
         return xi, nan, reason
     kernel = {
         EstimatorId.PARETO_ML: lambda: _pareto_ml_rows(x),
@@ -188,6 +188,8 @@ def fit_all(
     if not single:
         x, support, exc = (np.asarray(a, dtype=float) for a in (x, support, exc))
         srt = np.sort(exc, axis=1)
+        # the transformed estimators share their row checks
+        checked = _transform_row_checks(x, support) if set(wanted) & _INITIAL.keys() else None
     fits = {}
     for estimator in dict.fromkeys(wanted):
         for e in (_INITIAL.get(estimator, (estimator,))[0], estimator):
@@ -195,7 +197,7 @@ def fit_all(
                 fits[e] = (
                     _one_fit(e, x, support, exc, rounds, fits)
                     if single
-                    else _kernel_fits(e, x, support, exc, srt, rounds, fits)
+                    else _kernel_fits(e, x, support, exc, srt, checked, rounds, fits)
                 )
     if single:
         return {estimator: fits[estimator] for estimator in wanted}

@@ -212,23 +212,31 @@ def iterate_transform(x, initial: FitResult, mu_hat: float, rounds: int) -> FitR
     return fit
 
 
+def _transform_row_checks(x, mu_hat) -> np.ndarray:
+    """Reason of each row of ``x`` that no three-parameter map with support
+    estimate ``mu_hat`` may transform, else ``ok``; it does not depend on the
+    initial fit, so every transformed estimator of a stack shares it."""
+    return _first_reason(
+        (~((mu_hat > 0) & (mu_hat < np.inf)), Reason.support_nonpositive),
+        (~np.isfinite(x).all(axis=1), Reason.non_finite),
+    )
+
+
 def _iterate_transform_rows(
-    x, mu_hat, sigma_hat, xi_hat, rounds: int, initial: np.ndarray
+    x, mu_hat, sigma_hat, xi_hat, rounds: int, initial: np.ndarray, checked: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Row kernel of :func:`iterate_transform` with three-parameter maps.
 
     Row i of ``x`` is transformed with ``mu_hat[i]``, ``sigma_hat[i]`` and
-    ``xi_hat[i]``, the initial fit whose reason is ``initial[i]``; the result
-    is each row's shape estimate after ``rounds`` refresh rounds and its
-    reason.  A refreshed estimate is a Pareto ML fit, so a non-positive one is
-    zero, which maps every value to the bound and fits zero again: the early
-    stop of :func:`iterate_transform` would not change it.
+    ``xi_hat[i]``, the initial fit whose reason is ``initial[i]``;
+    ``checked`` is :func:`_transform_row_checks` of ``x`` and ``mu_hat``.
+    The result is each row's shape estimate after ``rounds`` refresh rounds
+    and its reason.  A refreshed estimate is a Pareto ML fit, so a
+    non-positive one is zero, which maps every value to the bound and fits
+    zero again: the early stop of :func:`iterate_transform` would not change
+    it.
     """
-    reason = _first_reason(
-        (initial != _OK, Reason.initial_failed),
-        (~((mu_hat > 0) & (mu_hat < np.inf)), Reason.support_nonpositive),
-        (~np.isfinite(x).all(axis=1), Reason.non_finite),
-    )
+    reason = np.where(initial != _OK, int(Reason.initial_failed), checked)
     xi = xi_hat
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(rounds + 1):

@@ -1,10 +1,19 @@
 """Tests for the distribution functions and seeded samplers."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate, stats
+
+import tailshape
+from tailshape.distributions import _StreamBlock
 
 from tailshape import (
     GpdParams,
@@ -194,6 +203,52 @@ class TestRngStream:
     def test_key_validation(self, seed, stream):
         with pytest.raises(ValueError):
             RngStream(seed, stream)
+
+
+_U64 = 2**64 - 1
+_KEYS = st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, _U64]), st.integers(0, _U64))
+
+
+@st.composite
+def _id_blocks(draw):
+    """Ranges of 1 to 6 stream ids, some straddling 2^32 (one and two uint32
+    words in one block), some at or near the ends of the uint64 range."""
+    start = draw(st.one_of(st.sampled_from([0, 2**32 - 3, 2**32, _U64 - 2]), _KEYS))
+    size = draw(st.integers(1, 6))
+    return range(start, min(start + size, _U64 + 1))
+
+
+class TestStreamBlock:
+    @settings(max_examples=300, deadline=None)
+    @given(_KEYS, _id_blocks())
+    def test_keys_match_seed_sequence(self, seed, ids):
+        # each row starts in the state PCG64(SeedSequence([seed, id])) starts in
+        seen = []
+
+        def observe(g, n):
+            seen.append((g.bit_generator.state, g.bit_generator.random_raw(8).tolist()))
+            return (np.zeros(n),)
+
+        _StreamBlock.keyed(seed, ids).draw(1, observe)
+        expected = []
+        for stream_id in ids:
+            bitgen = np.random.PCG64(np.random.SeedSequence([seed, stream_id]))
+            expected.append((bitgen.state, bitgen.random_raw(8).tolist()))
+        assert seen == expected
+
+    def test_import_and_table_specs_leave_numpy_random_unloaded(self):
+        # numpy.random costs set-up time: nothing may import it before sampling
+        code = (
+            "import sys, tailshape\n"
+            "for i in range(1, 9): tailshape.table_specs(f'table{i}')\n"
+            "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(tailshape.__file__).parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestSamplers:

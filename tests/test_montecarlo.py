@@ -32,6 +32,8 @@ from tailshape import (
     summaries_document,
     table_specs,
 )
+from tailshape import distributions, montecarlo
+from tailshape.distributions import _StreamBlock
 
 SPEC = ExperimentSpec(GpdSource(GpdParams(1.0, 1.0, 0.5)), n=60, m=40, seed=123)
 
@@ -146,6 +148,26 @@ class TestRunExperiment:
         c = run_experiment(SPEC, workers=2)
         assert a == b == c
 
+    def test_one_pool_for_all_scenarios(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class CountedPool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                started.append(kwargs.get("max_workers"))
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        specs = [
+            SPEC,
+            ExperimentSpec(StudentTSource(3.0), n=300, m=9, k=30, seed=5, fold_absolute=True),
+            ExperimentSpec(GpdParetoSource(1.0, 0.25), n=40, m=2, seed=6),
+        ]
+        parallel = run_experiments(specs, workers=2)
+        assert started == [2]
+        assert parallel == run_experiments(specs)
+
     def test_mse_decomposition_and_rel_eff_identity(self):
         for summary in run_experiment(SPEC):
             assert summary.mse == pytest.approx(
@@ -190,6 +212,55 @@ class TestRunExperiment:
         for est in (EstimatorId.TRANSFORMED_ZS, EstimatorId.TRANSFORMED_PWM):
             assert abs(mse1[est] - mse0[est]) < 0.1 * mse0[est]
         assert mse1[EstimatorId.ZHANG_STEPHENS] == mse0[EstimatorId.ZHANG_STEPHENS]
+
+
+SOURCES = {
+    "gpd": GpdSource(GpdParams(1.0, 2.0, 0.5)),
+    "gpd_pareto": GpdParetoSource(1.0, 0.25),
+    "student_t_df1": StudentTSource(1.0),
+    "student_t_df3": StudentTSource(3.0),
+    "stable_1": StableSource(1.0),
+    "stable_1.5": StableSource(1.5),
+    "stable_2": StableSource(2.0),
+}
+
+
+class TestSampleRows:
+    """A source's rows drawn from a keyed block of streams equal its one-row
+    samples drawn from RngStream, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 37])
+    @pytest.mark.parametrize("seed,reps", [
+        (11, range(5, 12)),
+        (2**40 + 1, range(2**32 - 2, 2**32 + 3)),  # ids straddling 2^32
+        (2**64 - 1, range(2**64 - 1, 2**64)),  # one id
+    ])
+    @pytest.mark.parametrize("source", SOURCES.values(), ids=SOURCES.keys())
+    def test_equal_to_stacked_streams(self, source, seed, reps, n):
+        expected = np.stack([source.sample(n, RngStream(seed, r)) for r in reps])
+        block = _StreamBlock.keyed(seed, reps)
+        assert source.sample_rows(n, block).tobytes() == expected.tobytes()
+        # a slice draws its own rows, also after the block has drawn
+        half = len(reps) // 2
+        assert source.sample_rows(n, block[half:]).tobytes() == expected[half:].tobytes()
+
+    @pytest.mark.parametrize("budget,calls", [(None, 1), (60, 4)])
+    @pytest.mark.parametrize("k", [None, 3])
+    def test_keys_hashed_once_per_block(self, monkeypatch, budget, calls, k):
+        hashed = []
+
+        def counted(seed, ids):
+            hashed.append(ids)
+            return stream_keys(seed, ids)
+
+        stream_keys = distributions._stream_keys
+        monkeypatch.setattr(distributions, "_stream_keys", counted)
+        if budget is not None:  # blocks of 7 replications
+            monkeypatch.setattr(montecarlo, "ELEMENT_BUDGET", budget)
+        spec = ExperimentSpec(StudentTSource(3.0), n=20, m=25, k=k, seed=9)
+        montecarlo._replicate_range(spec, 0, spec.m)
+        assert len(hashed) == calls
+        assert [r for ids in hashed for r in ids] == list(range(spec.m))
 
 
 class TestTableSpecs:

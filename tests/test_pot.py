@@ -1,6 +1,7 @@
 """Tests for the peaks-over-threshold pipeline."""
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import ClassVar
 
 import numpy as np
@@ -505,6 +506,11 @@ class TestFitAllStack:
                 assert _bits(stacked[i]) == _bits(one.xi_hat)
 
 
+def _rows_of(source, n, streams):
+    """A test source's rows: its one-row sample on each stream of the block."""
+    return streams.draw(n, lambda g, n: (source.sample(n, SimpleNamespace(generator=g)),))[0]
+
+
 @dataclass(frozen=True)
 class _RoundedGpd:
     """GPD source rounded to one decimal, so samples tie at their minimum."""
@@ -518,6 +524,8 @@ class _RoundedGpd:
 
     def sample(self, n, rng):
         return np.round(sample_gpd(GpdParams(1.0, 1.0, self.xi), n, rng), 1)
+
+    sample_rows = _rows_of
 
 
 @dataclass(frozen=True)
@@ -534,6 +542,8 @@ class _RoundedT:
 
     def sample(self, n, rng):
         return np.round(sample_student_t(self.df, n, rng))
+
+    sample_rows = _rows_of
 
 
 @dataclass(frozen=True)
@@ -552,6 +562,8 @@ class _SpikedT:
         x = sample_student_t(self.df, n, rng)
         x[rng.generator.integers(n)] = rng.generator.choice([np.inf, -np.inf, np.nan])
         return x
+
+    sample_rows = _rows_of
 
 
 POT_ESTIMATORS = PLAN_ESTIMATORS + (EstimatorId.HILL,)
@@ -587,13 +599,14 @@ class TestBatchedReplication:
         st.integers(min_value=2, max_value=40),
         st.integers(min_value=1, max_value=25),
         st.lists(st.integers(min_value=1, max_value=24), max_size=4),
-        st.sampled_from([None, 60]),
+        st.sampled_from([None, 24, 60]),
         st.integers(min_value=0, max_value=2),
     )
     def test_any_split_of_the_range_gives_the_same_slots(
         self, source, n, m, cuts, budget, rounds
     ):
-        # criterion 09: workers fit sub-ranges; a small budget forces several chunks
+        # criterion 09: workers fit sub-ranges; a small budget forces several
+        # chunks and key blocks (budget // 8 replications: 3 or 7)
         spec = ExperimentSpec(
             source, n=n, m=m, estimators=PLAN_ESTIMATORS, seed=7, rounds=rounds
         )
@@ -624,7 +637,7 @@ class TestBatchedReplication:
         st.integers(min_value=3, max_value=60),
         st.integers(min_value=1, max_value=25),
         st.lists(st.integers(min_value=1, max_value=24), max_size=4),
-        st.sampled_from([None, 60, 2000]),
+        st.sampled_from([None, 24, 60, 2000]),
         st.booleans(),
         st.data(),
     )
