@@ -282,30 +282,30 @@ def parse_config(text: str, path: str, seed_override: int | None = None):
 # ---------------------------------------------------------------------------
 
 def read_data_file(path: str) -> np.ndarray:
-    """One finite numeric value per line; '#' starts a comment, blanks are skipped."""
+    """One finite value per line, as float() reads it; '#' starts a comment, blanks are
+    skipped, and any Unicode line break ends a line for the line numbers of errors."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as err:
         raise DataError(f"cannot read data file {path}: {err}") from None
-    values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise DataError(f"{path}:{lineno}: could not parse {line!r} as a number") from None
-    data = np.asarray(values, dtype=float)
+    lines = text.splitlines()
+    # float() ignores the whitespace str.strip() removes, but for U+001F
+    if "#" in text or "\x1f" in text:
+        lines = [line.split("#", 1)[0].strip() for line in lines]
+    try:
+        data = np.fromiter(map(float, filter(str.strip, lines)), dtype=float)
+    except ValueError:  # the line at fault is looked for only on failure
+        for lineno, line in enumerate(map(str.strip, lines), start=1):
+            try:
+                float(line or "0")
+            except ValueError:
+                raise DataError(f"{path}:{lineno}: could not parse {line!r} as a number") from None
+        raise
     finite = np.isfinite(data)
     if not finite.all():
-        # a single vectorized check keeps the per-line loop free of extra
-        # work; the line of the first non-finite value is found only on failure
         index = int(np.argmin(finite))
-        lineno = [
-            n for n, raw in enumerate(text.splitlines(), start=1) if raw.split("#", 1)[0].strip()
-        ][index]
+        lineno = [n for n, line in enumerate(lines, start=1) if line.strip()][index]
         raise DataError(f"{path}:{lineno}: value {float(data[index])!r} is not finite")
     if data.size < 2:
         raise DataError(f"{path}: need at least 2 observations, found {data.size}")
@@ -386,11 +386,13 @@ def _print_fit(fit: FitResult, n: int, extra: dict, as_json: bool) -> None:
 
 def _cmd_estimate(args) -> int:
     estimator = _METHODS[args.method]
+    if estimator is EstimatorId.HILL and args.k is None:
+        raise UsageError("--method hill needs an exceedance count --k")
     data = read_data_file(args.data)
     extra: dict = {}
 
     if args.k is not None:
-        if not 1 <= args.k < data.size:
+        if args.k >= data.size:
             raise UsageError(f"--k must satisfy 1 <= k < n = {data.size}")
         try:
             result = pot_estimate(data, PotConfig(args.k, (estimator,)))
@@ -398,8 +400,6 @@ def _cmd_estimate(args) -> int:
             raise DataError(str(err)) from None
         extra = {"k": args.k, "threshold": result.threshold}
         outcome = result.fits.get(estimator) or result.failures[estimator]
-    elif estimator is EstimatorId.HILL:
-        raise UsageError("--method hill needs an exceedance count --k")
     else:
         # excess-over-minimum recipe: fit on the strictly positive excesses,
         # Pareto ML and the transforms on the full sample
@@ -509,7 +509,7 @@ def _build_parser() -> _Parser:
     est = sub.add_parser("estimate", help="fit a data file")
     est.add_argument("--data", required=True, help="file with one value per line")
     est.add_argument("--method", required=True, choices=sorted(_METHODS))
-    est.add_argument("--k", type=int, default=None, help="exceedance count for POT estimation")
+    est.add_argument("--k", type=_positive_int, help="exceedance count for POT estimation")
     est.add_argument("--json", action="store_true", help="print the fit as JSON")
     est.set_defaults(func=_cmd_estimate)
 

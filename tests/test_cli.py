@@ -11,9 +11,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tailshape import GpdParams, ParetoParams, RngStream, pareto_quantile, sample_gpd
-from tailshape.cli import main
+from tailshape.cli import DataError, main, read_data_file
 
 
 def write(path, text):
@@ -69,6 +71,16 @@ class TestEstimate:
 
     def test_hill_needs_k(self, capsys, gpd_file):
         code, _, err = run(capsys, "estimate", "--data", gpd_file, "--method", "hill")
+        assert code == 1
+        assert "--k" in err
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--method", "hill"], ["--method", "zs", "--k", "0"], ["--method", "hill", "--k", "-3"]],
+    )
+    def test_usage_errors_before_reading(self, capsys, tmp_path, extra):
+        # a missing file would be a data error (exit 2): the flags are checked first
+        code, _, err = run(capsys, "estimate", "--data", str(tmp_path / "missing.dat"), *extra)
         assert code == 1
         assert "--k" in err
 
@@ -152,6 +164,107 @@ class TestEstimate:
         assert code == 0
         values = parse_kv(out)
         assert float(values["xi_hat"]) != float(values["initial_xi"])
+
+
+def loop_read_data_file(path):
+    """The per-line loop read_data_file ran before its bulk parse: the oracle."""
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except (OSError, UnicodeDecodeError) as err:
+        raise DataError(f"cannot read data file {path}: {err}") from None
+    values = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: could not parse {line!r} as a number") from None
+    data = np.asarray(values, dtype=float)
+    finite = np.isfinite(data)
+    if not finite.all():
+        index = int(np.argmin(finite))
+        lineno = [
+            n for n, raw in enumerate(text.splitlines(), start=1) if raw.split("#", 1)[0].strip()
+        ][index]
+        raise DataError(f"{path}:{lineno}: value {float(data[index])!r} is not finite")
+    if data.size < 2:
+        raise DataError(f"{path}: need at least 2 observations, found {data.size}")
+    return data
+
+
+# tokens float() reads, including the forms a bulk parse could read differently
+_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**400), 10**400).map(str),
+    st.sampled_from(
+        ["-0.0", "1e308", "5e-324", "2.2e-310", " +1.5e3 ", "1_000", "\u0661\u0662.\u0665"]
+    ),
+)
+_BAD = st.sampled_from(["abc", "1 2", "1e", "--1", "0x10", "1,5"])
+_NON_FINITE = st.sampled_from(["nan", "inf", "-Infinity"])
+_PADDING = st.sampled_from(["", " ", "\t", " \t ", "\u3000", "\xa0", "\x1f"])
+_BREAKS = st.sampled_from(
+    ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+)
+_COMMENTS = st.text(alphabet="# 1.5e-a\t", max_size=6).map(lambda body: "#" + body)
+
+
+@st.composite
+def data_texts(draw):
+    """Texts of data files: values, blank and comment lines, trailing comments
+    and, in about half of them, lines that do not parse or are not finite."""
+    tokens = [_VALUES, _VALUES, _VALUES, st.just(""), _COMMENTS]
+    if draw(st.booleans()):
+        tokens += [_BAD, _NON_FINITE]
+    text = ""
+    for token in draw(st.lists(st.sampled_from(tokens), max_size=12)):
+        line = draw(_PADDING) + draw(token) + draw(_PADDING)
+        if draw(st.integers(0, 3)) == 0:
+            line += draw(_COMMENTS)
+        text += line + draw(_BREAKS)
+    return text + draw(st.sampled_from(["", "7.5"]))
+
+
+class TestReadDataFile:
+    @settings(max_examples=500, deadline=None)
+    @given(data_texts())
+    @example("nan\n1\n# x\n\x1f2 \r\nabc\n")  # a later parse error wins over a non-finite value
+    def test_equal_to_per_line_loop(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "read_data_file.dat"
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+
+        def outcome(parse):
+            try:
+                data = parse(str(path))
+            except DataError as err:
+                return "error", str(err)
+            return data.dtype, data.tobytes()
+
+        assert outcome(read_data_file) == outcome(loop_read_data_file)
+
+    def test_messy_formatting_prints_the_same_fits(self, capsys, tmp_path):
+        x = sample_gpd(GpdParams(1.0, 1.0, 0.5), 200, RngStream(61, 0))
+        values = [repr(float(v)) for v in x]
+        clean = write(tmp_path / "clean.dat", "\n".join(values) + "\n")
+        lines = ["# a header", "#", ""]
+        for i, value in enumerate(values):
+            pad = ("\t", " ", "  \t ")[i % 3]
+            lines.append(pad + value + pad[::-1] + ("  # trailing note" if i % 5 == 0 else ""))
+            if i % 7 == 0:
+                lines.append(" \t ")
+        messy = tmp_path / "messy.dat"
+        with open(messy, "w", encoding="utf-8", newline="") as handle:
+            handle.write("\r\n".join(lines[:50]) + "\u2028" + "\r\n".join(lines[50:]) + "\r\n")
+        for method in ESTIMATE_PIN_METHODS:
+            for extra in ([], ["--k", "20"]):
+                argv = ["estimate", "--method", method, "--json", *extra]
+                want = run(capsys, *argv, "--data", clean)[:2]
+                assert run(capsys, *argv, "--data", str(messy))[:2] == want
+                assert want[0] == (1 if method == "hill" and not extra else 0)
 
 
 class TestQuantile:
