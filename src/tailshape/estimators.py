@@ -26,10 +26,12 @@ kernel.  A kernel returns ``(xi_hat, scale, reason, ...)`` per row (Hill's
 size, call the kernel with a single row and raise the exception and message
 of the row's reason, or wrap its result.  :func:`tailshape.pot.fit_all` and
 the replication engine call the kernels on whole stacks of samples and keep
-the reasons.  Every ``log1p`` temporary of a profile likelihood (the
-Zhang-Stephens grid and the GPD ML scan) is evaluated in blocks of at most
-:data:`ELEMENT_BUDGET` elements, over (row, grid point) pairs, so its memory
-does not grow with the number of rows or the sample size.
+the reasons.  The ``log1p`` values of a profile likelihood (the
+Zhang-Stephens grid and the GPD ML scan) are evaluated in blocks of at most
+:data:`ELEMENT_BUDGET` elements, over (row, grid point) pairs, written into
+one buffer per call, so their memory does not grow with the number of rows
+or the sample size.  The GPD ML scan evaluates the profile coarse to fine
+over its 200 points.
 """
 
 from __future__ import annotations
@@ -40,9 +42,16 @@ from enum import Enum, IntEnum
 
 import numpy as np
 
-# elements in one log1p temporary of a profile likelihood (256 KiB of float64):
-# the GPD ML scan of 200 points over k = 100 excesses stays one block
+# elements in one block of a profile likelihood's log1p values (256 KiB of
+# float64): a row of 200 grid points over k = 100 excesses fits one block
 ELEMENT_BUDGET = 2**15
+
+# the GPD ML scan: log-spaced points, of which every 8th and the last two (so
+# that the coarse profile shows a rise at the end of the scan) are evaluated
+# first, then _FINE points around each row's best (see _gpd_mle_rows)
+_SCAN_POINTS = 200
+_COARSE = np.array([*range(0, _SCAN_POINTS, 8), _SCAN_POINTS - 2, _SCAN_POINTS - 1])
+_FINE = 15
 
 __all__ = [
     "EstimatorId",
@@ -270,19 +279,28 @@ def _profile_xi(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Inner ML solution xi(theta) = mean(log1p(theta * x)) per row and grid point.
 
     ``theta`` holds one row of grid points per sample row of ``x``.  The
-    (row, grid point, observation) temporary is evaluated in blocks of at most
-    ELEMENT_BUDGET elements: whole rows at a time while a row's grid fits the
-    budget, else part of one row's grid at a time.
+    (row, grid point, observation) values are evaluated in blocks of at most
+    ELEMENT_BUDGET elements (one grid point's n values when n exceeds it):
+    whole rows at a time while a row's grid fits the budget, else part of one
+    row's grid at a time.  Every block is written into one buffer allocated
+    per call, and each (row, grid point) sum is divided by n once at the end,
+    which rounds exactly as ``mean`` does.
     """
     rows, grid = theta.shape
     n = x.shape[1]
     per_block = min(grid, max(1, ELEMENT_BUDGET // n))
     row_step = max(1, ELEMENT_BUDGET // (grid * n))
     out = np.empty((rows, grid))
+    # one buffer for every block: a fresh temporary per block costs page faults
+    buf = np.empty(min(rows, row_step) * per_block * n)
     for a in range(0, rows, row_step):
+        b = min(a + row_step, rows)
         for g in range(0, grid, per_block):
-            t = theta[a : a + row_step, g : g + per_block, None] * x[a : a + row_step, None, :]
-            out[a : a + row_step, g : g + per_block] = np.log1p(t, out=t).mean(axis=2)
+            h = min(g + per_block, grid)
+            t = buf[: (b - a) * (h - g) * n].reshape(b - a, h - g, n)
+            np.multiply(theta[a:b, g:h, None], x[a:b, None, :], out=t)
+            np.add.reduce(np.log1p(t, out=t), axis=2, out=out[a:b, g:h])
+    out /= n
     return out
 
 
@@ -408,19 +426,23 @@ def estimate_gpd_mle(excesses) -> FitResult:
 
     Following Grimshaw (1993), the fit is the root of the profile score in
     theta = xi/sigma on (0, 1e4/mean(x)].  200 log-spaced scan points pick the
-    highest profile likelihood and bracket it by its neighbours.  A
-    safeguarded Newton iteration in log(theta), started at the best scan point
-    with the analytic derivative of the score, then refines the root: every
-    step shrinks the bracket by the sign of the score, and a step that would
-    leave the bracket (or meets a non-negative derivative) is replaced by the
-    bracket midpoint.  It stops once the Newton step or the bracket is at most
-    1e-13 in log(theta), or one float wide at extreme data scales.  When the
-    profile is still rising at the upper end of the scan the maximum does not
-    exist (theta diverging); the boundary fit is returned with ``converged``
-    set to 0.0 in the diagnostics rather than silently reporting an interior
-    optimum.  A sample whose mean is so small (below about 1e-304) that
-    1e4/mean(x) overflows has no scan range and fails, as does one whose
-    mean overflows.
+    highest profile likelihood and bracket it by its neighbours.  The scan is
+    coarse to fine: it evaluates every 8th point and the last two, then the 15
+    points around the best of them, and all 200 only where the coarse profile
+    does not rise and then fall.  It picks the point that evaluating all 200
+    picks, unless a peak narrower than 8 points hides between two coarse
+    points.  A safeguarded Newton iteration in log(theta), started at the best
+    scan point with the analytic derivative of the score, then refines the
+    root: every step shrinks the bracket by the sign of the score, and a step
+    that would leave the bracket (or meets a non-negative derivative) is
+    replaced by the bracket midpoint.  It stops once the Newton step or the
+    bracket is at most 1e-13 in log(theta), or one float wide at extreme data
+    scales.  When the profile is still rising at the upper end of the scan
+    the maximum does not exist (theta diverging); the boundary fit is
+    returned with ``converged`` set to 0.0 in the diagnostics rather than
+    silently reporting an interior optimum.  A sample whose mean is so small
+    (below about 1e-304) that 1e4/mean(x) overflows has no scan range and
+    fails, as does one whose mean overflows.
 
     ``optimizer_iterations`` counts the score evaluations of the refinement,
     one per Newton or bisection step; it is 0 when the scan alone decides the
@@ -467,8 +489,21 @@ def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, ...]:
     # a row without a scan range is scanned over NaN: NaN estimates, no refinement
     xbar = np.where(reason == _OK, mean, np.nan)
     theta_lo, theta_hi = 1e-8 / xbar, 1e4 / xbar
-    grid = np.geomspace(theta_lo, theta_hi, 200, axis=1)
-    ll, _ = _profile_loglik(grid, x)
+    grid = np.geomspace(theta_lo, theta_hi, _SCAN_POINTS, axis=1)
+    # coarse to fine, with -inf at the points not evaluated: the coarse points,
+    # then the 15 around the best of them.  Unless a peak hides between two
+    # coarse points, those hold the best of all points when the coarse profile
+    # rises strictly and then falls strictly; a row whose coarse profile does
+    # not (two peaks, or a tie) is evaluated at every point
+    ll = np.full(grid.shape, -np.inf)
+    ll[:, _COARSE] = coarse = _profile_loglik(grid[:, _COARSE], x)[0]
+    start = np.minimum(np.maximum(ll.argmax(axis=1) - _FINE // 2, 0), _SCAN_POINTS - _FINE)
+    fine = rows[:, None], start[:, None] + np.arange(_FINE)
+    ll[fine] = _profile_loglik(grid[fine], x)[0]
+    rises, falls = coarse[:, 1:] >= coarse[:, :-1], coarse[:, 1:] <= coarse[:, :-1]
+    full = np.flatnonzero((np.logical_or.accumulate(falls, axis=1) & rises).any(axis=1))
+    if full.size:
+        ll[full] = _profile_loglik(grid[full], x[full])[0]
     i = ll.argmax(axis=1)
     last = grid.shape[1] - 1
     converged = ~((i == last) & (ll[:, -1] > ll[:, -2]))

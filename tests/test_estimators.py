@@ -1,6 +1,7 @@
 """Tests for the five shape-parameter estimators."""
 
 import math
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -28,8 +29,18 @@ from tailshape import (
     sample_student_t,
     sample_symmetric_stable,
 )
-from tailshape import fit_all
-from tailshape.estimators import _gpd_mle_rows, _profile_loglik
+from tailshape import fit_all, pot, run_experiments, table_specs
+from tailshape.estimators import (
+    _OK,
+    ELEMENT_BUDGET,
+    _excess_checks,
+    _first_reason,
+    _gpd_mle_rows,
+    _invalid,
+    _profile_loglik,
+    _profile_score,
+    _profile_xi,
+)
 from tailshape.pot import excesses, select_threshold
 
 
@@ -461,6 +472,172 @@ class TestGpdMleRowKernel:
         assert (iterations[::3] > 0).all()
         # the xi -> 0 end of the scan is theta = 1e-14 / mean(x)
         assert theta_times_mean[2::3] == pytest.approx([1e-14] * 3, rel=1e-12)
+
+    def test_scan_maximum_anywhere(self):
+        # rows whose full-scan maximum sits at the first scan points, midway
+        # between two coarse points or at the last two: exponential quantiles
+        # whose largest value makes m2 = 2 (1 + eps) m1^2 (at eps = 0 the
+        # profile is flat to second order at theta = 0) and GPD quantiles of
+        # growing shape
+        n = 200
+        p = (np.arange(1, n + 1) - 0.35) / n
+        expo = -np.log1p(-p)
+        s1, s2 = expo[:-1].sum(), expo[:-1] @ expo[:-1]
+        c = 2.0 * (1.0 + np.geomspace(1e-10, 1e-3, 150))
+        a, b, q = n - c, -2.0 * c * s1, n * s2 - c * s1 * s1
+        low = np.tile(expo, (c.size, 1))
+        low[:, -1] = (-b + np.sqrt(b * b - 4.0 * a * q)) / (2.0 * a)
+        shape = np.linspace(0.02, 2.3, 150)[:, None]
+        stack = np.concatenate([low, np.expm1(-shape * np.log1p(-p)) / shape])
+        xbar = stack.mean(axis=1)
+        grid = np.geomspace(1e-8 / xbar, 1e4 / xbar, 200, axis=1)
+        reached = set(_profile_loglik(grid, stack)[0].argmax(axis=1).tolist())
+        assert {0, 1, 4, 12, 124, 132, 195, 198, 199} <= reached
+        self._check(stack)
+
+    def test_profile_with_two_peaks(self):
+        # the higher of two near-equal peaks lies between coarse points that
+        # rank it below the other (found by the hypothesis test above)
+        row = [1.0, 2.0, 2.0, 4.0, 39.0, 64.0, 147.0, 190.0, 198.0, 209.0, 300.0, 305.0, 307.0,
+               332.0, 336.0, 343.0, 374.0, 388.0, 485.0, 525.0, 640.0, 649.0, 734.0, 925.0,
+               930.0, 939.0, 946.0, 1.875, 0.5, 0.5, 0.5, 0.5, 0.0078125]
+        converged, theta_times_mean, _ = self._check(np.array([row]))
+        assert converged[0] and theta_times_mean[0] > 1.0
+
+    def test_table_rows_equal_full_scan(self, monkeypatch):
+        # every excess stack of one table7 + table8 pass
+        stacks = []
+
+        def recording(exc):
+            stacks.append(exc.copy())
+            return _gpd_mle_rows(exc)
+
+        monkeypatch.setattr(pot, "_gpd_mle_rows", recording)
+        run_experiments([*table_specs("table7", m=20), *table_specs("table8", m=20)])
+        assert sum(len(stack) for stack in stacks) == 600
+        for stack in stacks:
+            fit, expected = _gpd_mle_rows(stack), _full_scan_gpd_mle_rows(stack)
+            assert [v.tobytes() for v in fit] == [v.tobytes() for v in expected]
+
+
+def _full_scan_gpd_mle_rows(x):
+    """Oracle: the GPD ML row kernel as written before its coarse-to-fine scan,
+    with the profile evaluated at all 200 scan points of every row."""
+    rows = np.arange(len(x))
+    with np.errstate(all="ignore"):
+        mean, high = x.mean(axis=1), x.max(axis=1)
+        reason = _first_reason(
+            *_excess_checks(x.min(axis=1), high),
+            (high <= 0, Reason.all_zero),
+            (mean == 0.0, Reason.mean_underflow),
+            (~(1e4 / mean < np.inf), Reason.no_scan_range),
+            (mean == np.inf, Reason.invalid_estimate),
+        )
+    xbar = np.where(reason == _OK, mean, np.nan)
+    theta_lo, theta_hi = 1e-8 / xbar, 1e4 / xbar
+    grid = np.geomspace(theta_lo, theta_hi, 200, axis=1)
+    ll, _ = _profile_loglik(grid, x)
+    i = ll.argmax(axis=1)
+    last = grid.shape[1] - 1
+    converged = ~((i == last) & (ll[:, -1] > ll[:, -2]))
+    lo = np.where(i > 0, grid[rows, i - 1], theta_lo * 1e-6)
+    hi = np.where(i < last, grid[rows, np.minimum(i + 1, last)], theta_hi)
+    theta = np.where(converged, grid[rows, i], theta_hi)
+    iters = np.zeros(len(x), dtype=int)
+    with np.errstate(all="ignore"):
+        todo = rows[converged]
+        falling = _profile_score(lo[todo], x if converged.all() else x[todo])[0] <= 0.0
+        at_zero = todo[falling & (i[todo] == 0)]
+        theta[at_zero] = lo[at_zero]
+        todo = todo[~falling]
+        xs = x if len(todo) == len(x) else x[todo]
+        todo = todo[~(_profile_score(hi[todo], xs)[0] >= 0.0)]
+        state = {
+            r: (math.log(lo[r]), math.log(hi[r]), math.log(theta[r])) for r in todo.tolist()
+        }
+        tol = {r: max(1e-13, math.ulp(max(abs(a), abs(b)))) for r, (a, b, _) in state.items()}
+        live = [r for r, (log_lo, log_hi, _) in state.items() if log_hi - log_lo > tol[r]]
+        while live:
+            xs = x if len(live) == len(x) else x[live]
+            g, dg = _profile_score(np.array([math.exp(state[r][2]) for r in live]), xs)
+            iters[live] += 1
+            still = []
+            for r, g_r, dg_r in zip(live, g.tolist(), dg.tolist()):
+                log_lo, log_hi, u = state[r]
+                if g_r > 0.0:
+                    log_lo = u
+                else:
+                    log_hi = u
+                step = -g_r / dg_r if dg_r < 0.0 else math.nan
+                u += step
+                if not abs(step) <= tol[r]:
+                    if not log_lo < u < log_hi:
+                        u = 0.5 * (log_lo + log_hi)
+                    if log_hi - log_lo > tol[r]:
+                        still.append(r)
+                state[r] = (log_lo, log_hi, u)
+            live = still
+        for r, (_, _, u) in state.items():
+            theta[r] = math.exp(u)
+        t = theta[:, None] * x
+        xi = np.log1p(t, out=t).mean(axis=1)
+        sigma = xi / theta
+        fitted = _first_reason(
+            (~converged, Reason.not_converged),
+            (xi == 0.0, Reason.degenerate_zero),
+            (_invalid(xi, sigma), Reason.invalid_estimate),
+        )
+    return xi, sigma, np.where(reason == _OK, fitted, reason), theta, iters, mean
+
+
+def _allocating_profile_xi(theta, x):
+    """Oracle: the profile's inner solution as written before its block
+    buffer, with a fresh theta * x temporary and a mean per block."""
+    rows, grid = theta.shape
+    n = x.shape[1]
+    per_block = min(grid, max(1, ELEMENT_BUDGET // n))
+    row_step = max(1, ELEMENT_BUDGET // (grid * n))
+    out = np.empty((rows, grid))
+    for a in range(0, rows, row_step):
+        for g in range(0, grid, per_block):
+            t = theta[a : a + row_step, g : g + per_block, None] * x[a : a + row_step, None, :]
+            out[a : a + row_step, g : g + per_block] = np.log1p(t, out=t).mean(axis=2)
+    return out
+
+
+class TestProfileXi:
+    # (rows, grid points, n): several rows per block (the last block partial),
+    # part of one row's grid per block, and n > ELEMENT_BUDGET, one grid point
+    # per block
+    SHAPES = [(30, 27, 100), (2, 200, 1000), (2, 3, ELEMENT_BUDGET + 7000)]
+
+    @staticmethod
+    def _inputs(rows, grid, n):
+        rng = RngStream(41, n).generator
+        x = rng.pareto(2.0, size=(rows, n))
+        # theta > -1/max(x), as on the Zhang-Stephens grid, and up to 50/max(x)
+        theta = rng.uniform(-0.9, 50.0, size=(rows, grid)) / x.max(axis=1, keepdims=True)
+        return theta, x
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_equal_to_allocating_loop(self, shape):
+        theta, x = self._inputs(*shape)
+        assert _profile_xi(theta, x).tobytes() == _allocating_profile_xi(theta, x).tobytes()
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_peak_memory_is_one_block(self, shape):
+        # the output, one block of log1p values and the buffers NumPy's ufunc
+        # iterator allocates for the two broadcast operands of the product; a
+        # temporary per block would hold two blocks at once
+        theta, x = self._inputs(*shape)
+        tracemalloc.start()
+        try:
+            out = _profile_xi(theta, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        iterator = 2 * 8 * np.getbufsize()
+        assert peak <= out.nbytes + 8 * max(ELEMENT_BUDGET, shape[2]) + iterator + 4096
 
 
 class TestHill:
