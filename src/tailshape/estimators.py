@@ -22,12 +22,14 @@ fits a 2-D array of equal-length samples, one sample per row, and returns
 each row's :class:`Reason` next to its estimates: ``ok``, or why the row has
 no estimate.  Every failure condition of an estimator is written once, in its
 kernel.  A kernel returns ``(xi_hat, scale, reason, ...)`` per row (Hill's
-``(xi_hat, reason)``).  The public functions above check their argument's
-size, call the kernel with a single row and raise the exception and message
-of the row's reason, or wrap its result.  :func:`tailshape.pot.fit_all` and
-the replication engine call the kernels on whole stacks of samples and keep
-the reasons.  The ``log1p`` values of a profile likelihood (the
-Zhang-Stephens grid and the GPD ML scan) are evaluated in blocks of at most
+``(xi_hat, reason)``).  One sample is fitted as a stack of one row, and one
+function turns that row into a :class:`FitResult` or into the exception
+class and message of its reason, from one message table: the public
+functions above raise it, the one-sample :func:`tailshape.pot.fit_all`
+returns the message.  :func:`tailshape.pot.fit_all` and the replication
+engine call the kernels on whole stacks of samples and keep the reasons.
+The ``log1p`` values of a profile likelihood (the Zhang-Stephens grid and
+the GPD ML scan) are evaluated in blocks of at most
 :data:`ELEMENT_BUDGET` elements, over (row, grid point) pairs, written into
 one buffer per call, so their memory does not grow with the number of rows
 or the sample size.  The GPD ML scan evaluates the profile coarse to fine
@@ -114,10 +116,13 @@ class Reason(IntEnum):
 _OK = int(Reason.ok)
 
 
-# reason -> exception class and message of a 1-D fit; {name} is the
-# estimator's name.  A row with an invalid estimate reaches FitResult, whose
-# checks reject it with their own message; GPD ML returns unconverged fits.
+# reason -> exception class and message of a one-row fit; {name} is the
+# estimator's name (a transformed estimator's is its initial estimator's) and
+# {size} the size of the sample it fits.  A row with an invalid estimate
+# reaches FitResult, whose checks reject it with their own message; GPD ML
+# returns unconverged fits.
 _ERRORS = {
+    Reason.too_few: (ValueError, "need at least 2 observations, got {size}"),
     Reason.non_finite: (ValueError, "sample contains non-finite values"),
     Reason.negative: (ValueError, "{name} requires non-negative excesses"),
     Reason.nonpositive: (ValueError, "{name} requires strictly positive observations"),
@@ -128,7 +133,11 @@ _ERRORS = {
     Reason.no_scan_range: (
         EstimationError, "{name} scan range 1e4/mean(x) overflows at mean(x) = {mean!r}"
     ),
+    Reason.support_nonpositive: (
+        ValueError, "mu_hat must be a positive real for the three-parameter form, got {support}"
+    ),
     Reason.threshold_nonpositive: (ValueError, "{name} needs a positive threshold X_(n-k)"),
+    Reason.initial_failed: (EstimationError, "initial {name} fit failed: {initial}"),
     Reason.pwm_singular: (
         PwmSingularityError,
         "probability-weighted-moment denominator a0 - 2*a1 = {denom} is not positive",
@@ -136,12 +145,33 @@ _ERRORS = {
     Reason.degenerate_zero: (EstimationError, "{name} produced a degenerate zero estimate"),
 }
 
-
-def _check(reason, name: str, **values) -> None:
-    """Raise the exception of a 1-D fit whose row has ``reason``, if it has one."""
-    if reason in _ERRORS:
-        error, message = _ERRORS[reason]
-        raise error(message.format(name=name, **values))
+# transformed estimator -> the estimator of its initial fit
+_INITIAL = {
+    EstimatorId.TRANSFORMED_ZS: EstimatorId.ZHANG_STEPHENS,
+    EstimatorId.TRANSFORMED_PWM: EstimatorId.PWM,
+}
+# estimator -> its name in messages (a transformed estimator's is that of its
+# initial one), the names of its kernel's outputs after (xi_hat, scale,
+# reason), and its diagnostics; the scale is sigma_hat for the GPD fits,
+# mu_hat for the rest
+_TRANSFORMED = (
+    ("clamp_count", "refresh_rounds", "initial_xi"),
+    ("clamp_count", "alpha_transformed", "initial_xi", "refresh_rounds"),
+)
+_ROWS = {
+    EstimatorId.PARETO_ML: ("Pareto ML", (), ()),
+    EstimatorId.PWM: ("PWM", ("a0", "a1", "denom"), ("a0", "a1")),
+    EstimatorId.ZHANG_STEPHENS: ("Zhang-Stephens", ("theta", "grid_size"), ("theta", "grid_size")),
+    EstimatorId.GPD_MLE: (
+        "GPD MLE",
+        ("theta", "optimizer_iterations", "mean"),
+        ("converged", "optimizer_iterations", "theta", "profile_loglik"),
+    ),
+    EstimatorId.HILL: ("Hill estimator", (), ("k",)),
+    EstimatorId.TRANSFORMED_ZS: ("Zhang-Stephens", *_TRANSFORMED),
+    EstimatorId.TRANSFORMED_PWM: ("PWM", *_TRANSFORMED),
+}
+_GPD_FITS = (EstimatorId.PWM, EstimatorId.ZHANG_STEPHENS, EstimatorId.GPD_MLE)
 
 
 def _first_reason(*checks) -> np.ndarray:
@@ -151,6 +181,12 @@ def _first_reason(*checks) -> np.ndarray:
     for mask, code in reversed(checks):
         reason[mask] = code
     return reason
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """The mean of each row: the row sums over n round exactly as ``mean``
+    does, without its Python overhead."""
+    return np.add.reduce(a, axis=1) / a.shape[1]
 
 
 def _excess_checks(low: np.ndarray, high: np.ndarray) -> tuple:
@@ -204,11 +240,51 @@ class FitResult:
             raise ValueError(f"sigma_hat must be positive when present, got {self.sigma_hat}")
 
 
+def _outcome(estimator: EstimatorId, out: tuple, sample: np.ndarray, **values):
+    """Row 0 of the kernel outputs ``out`` of ``estimator``, which fitted
+    ``sample``: its :class:`FitResult`, or the exception class and message of
+    its failure.
+
+    ``out`` is ``(xi_hat, scale, reason, ...)`` with the outputs that
+    ``_ROWS`` names after the reason.  ``values`` fill in the rest of a
+    message or of the diagnostics: a transformed estimator's ``support``
+    estimate and ``initial`` fit (or its message), Hill's ``k``.  The
+    ``estimate_*`` functions raise the failure; the one-sample
+    :func:`tailshape.pot.fit_all` keeps its message.
+    """
+    xi, scale, reason, *more = [v.item(0) for v in out]
+    name, outputs, diagnostics = _ROWS[estimator]
+    row = dict(zip(outputs, more), **values)
+    if reason in _ERRORS:
+        error, message = _ERRORS[reason]
+        if reason == Reason.too_few and estimator in _INITIAL and sample.size == 0:
+            message = "cannot transform an empty sample"
+        return error, message.format(name=name, size=sample.size, **row)
+    row["converged"] = reason != Reason.not_converged
+    row["alpha_transformed"] = 1.0 / xi if xi > 0 else math.inf
+    if estimator is EstimatorId.GPD_MLE:
+        row["profile_loglik"] = _profile_loglik(row["theta"], sample)[0][0]
+    sigma, mu = (scale, None) if estimator in _GPD_FITS else (None, scale)
+    try:
+        return FitResult(xi, sigma, mu, estimator, {k: float(row[k]) for k in diagnostics})
+    except ValueError as err:  # an invalid estimate
+        return ValueError, str(err)
+
+
+def _fitted(outcome) -> FitResult:
+    """The fit of an :func:`_outcome`, or raise its failure."""
+    if isinstance(outcome, FitResult):
+        return outcome
+    error, message = outcome
+    raise error(message)
+
+
 def _sample(values) -> np.ndarray:
     """The values as a 1-D float array of at least two; the kernels check them."""
     arr = np.asarray(values, dtype=float).ravel()
     if arr.size < 2:
-        raise ValueError(f"need at least 2 observations, got {arr.size}")
+        error, message = _ERRORS[Reason.too_few]
+        raise error(message.format(size=arr.size))
     return arr
 
 
@@ -218,9 +294,8 @@ def estimate_pareto_ml(z) -> FitResult:
     Requires strictly positive observations.  ``xi_hat`` is non-negative and
     zero exactly when all observations are equal.
     """
-    xi, mu, reason = _pareto_ml_rows(_sample(z)[None, :])
-    _check(reason[0], "Pareto ML")
-    return FitResult(float(xi[0]), None, float(mu[0]), EstimatorId.PARETO_ML)
+    x = _sample(z)
+    return _fitted(_outcome(EstimatorId.PARETO_ML, _pareto_ml_rows(x[None, :]), x))
 
 
 def _pareto_ml_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -229,7 +304,7 @@ def _pareto_ml_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     mu = z.min(axis=1)
     with np.errstate(all="ignore"):
         ratio = z / mu[:, None]
-        xi = np.log(ratio, out=ratio).mean(axis=1)
+        xi = _row_mean(np.log(ratio, out=ratio))
     reason = _first_reason(
         (~(np.isfinite(mu) & np.isfinite(z.max(axis=1))), Reason.non_finite),
         (mu <= 0, Reason.nonpositive),
@@ -250,26 +325,41 @@ def estimate_pwm(excesses, pos: PlottingPosition = PlottingPosition()) -> FitRes
     sample, or one whose moments underflow to zero); callers decide how to
     account for such failures.
     """
-    srt = np.sort(_sample(excesses))[None, :]
-    xi, sigma, reason, a0, a1, denom = (v[0] for v in _pwm_rows(srt, pos))
-    _check(reason, "PWM", denom=float(denom))
-    diagnostics = {"a0": float(a0), "a1": float(a1)}
-    return FitResult(float(xi), float(sigma), None, EstimatorId.PWM, diagnostics)
+    x = _sample(excesses)
+    return _fitted(_outcome(EstimatorId.PWM, _pwm_rows(np.sort(x)[None, :], pos), x))
 
 
 def _pwm_rows(srt: np.ndarray, pos: PlottingPosition) -> tuple[np.ndarray, ...]:
     """Row kernel of :func:`estimate_pwm` on sorted rows of at least two
     values: ``(xi_hat, sigma_hat, reason, a0, a1, a0 - 2*a1)`` per row.
-    Rows that fail get meaningless shape and scale values."""
+    Rows that fail get meaningless shape and scale values.
+
+    Each row is divided by the power of two of its maximum before the moments
+    are formed, and the scale-carrying outputs are multiplied back, so that
+    ``a0 * a1`` neither overflows nor underflows at extreme data scales.  The
+    power of two is exact: a row scaled by 2^j, with its values still normal,
+    gets the same ``xi_hat`` and 2^j times the ``sigma_hat``.  A row whose
+    maximum is subnormal is not scaled: its values carry fewer than 53 bits.
+    """
     p = pos.positions(srt.shape[1])
+    top = srt[:, -1]  # NaN sorts last
+    # 2^-e for a maximum in [2^(e-1), 2^e), exact even where it is subnormal;
+    # frexp gives e = 0 for a zero, NaN or infinite maximum, e < -1021 for a
+    # subnormal one
+    e = np.frexp(top)[1]
+    e[e < -1021] = 0
+    inverse = np.ldexp(1.0, -e)
+    y = srt * inverse[:, None]
     with np.errstate(all="ignore"):
-        a0 = srt.mean(axis=1)
-        a1 = ((1.0 - p) * srt).mean(axis=1)
+        a0 = _row_mean(y)
+        a1 = _row_mean(np.multiply(y, 1.0 - p, out=y))
         denom = a0 - 2.0 * a1
         xi, sigma = 2.0 - a0 / denom, 2.0 * a0 * a1 / denom
+        singular = denom <= 0
+        sigma, a0, a1, denom = (v / inverse for v in (sigma, a0, a1, denom))
     reason = _first_reason(
-        *_excess_checks(srt[:, 0], srt[:, -1]),  # NaN sorts last
-        (denom <= 0, Reason.pwm_singular),
+        *_excess_checks(srt[:, 0], top),
+        (singular, Reason.pwm_singular),
         (_invalid(xi, sigma), Reason.invalid_estimate),
     )
     return xi, sigma, reason, a0, a1, denom
@@ -348,21 +438,15 @@ def estimate_zhang_stephens(excesses) -> FitResult:
     theta * x overflows, which takes x* below about 1e-308 or x_(n) / x*
     above about 1e308; the fit then fails.
     """
-    xi, sigma, reason, theta, m = _zhang_stephens_rows(np.sort(_sample(excesses))[None, :])
-    _check(reason[0], "Zhang-Stephens")
-    return FitResult(
-        float(xi[0]),
-        float(sigma[0]),
-        None,
-        EstimatorId.ZHANG_STEPHENS,
-        {"theta": float(theta[0]), "grid_size": float(m)},
-    )
+    x = _sample(excesses)
+    fits = _zhang_stephens_rows(np.sort(x)[None, :])
+    return _fitted(_outcome(EstimatorId.ZHANG_STEPHENS, fits, x))
 
 
 def _zhang_stephens_rows(y: np.ndarray) -> tuple:
     """Row kernel of :func:`estimate_zhang_stephens` on sorted rows with at
-    least two observations: ``(xi_hat, sigma_hat, reason, theta_hat)`` per row
-    and the grid size.  Rows that fail get meaningless values."""
+    least two observations: ``(xi_hat, sigma_hat, reason, theta_hat, grid
+    size)`` per row.  Rows that fail get meaningless values."""
     n = y.shape[1]
     m = 20 + math.isqrt(n)
     with np.errstate(all="ignore"):
@@ -380,7 +464,7 @@ def _zhang_stephens_rows(y: np.ndarray) -> tuple:
         # one BLAS dot per row: a sum along an axis would round differently
         theta = np.matmul(w[:, None, :], theta_grid[:, :, None])[:, 0, 0]
         t = theta[:, None] * y
-        xi = np.log1p(t, out=t).mean(axis=1)
+        xi = _row_mean(np.log1p(t, out=t))
         sigma = xi / theta
     reason = _first_reason(
         *_excess_checks(y[:, 0], y[:, -1]),  # NaN sorts last
@@ -388,7 +472,7 @@ def _zhang_stephens_rows(y: np.ndarray) -> tuple:
         (xi == 0.0, Reason.degenerate_zero),
         (_invalid(xi, sigma), Reason.invalid_estimate),
     )
-    return xi, sigma, reason, theta, m
+    return xi, sigma, reason, theta, np.full(len(y), m)
 
 
 def _profile_score(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -450,20 +534,7 @@ def estimate_gpd_mle(excesses) -> FitResult:
     one still rising at the upper end).
     """
     x = _sample(excesses)
-    xi, sigma, reason, theta, iters, mean = (v[0] for v in _gpd_mle_rows(x[None, :]))
-    _check(reason, "GPD MLE", mean=float(mean))
-    return FitResult(
-        float(xi),
-        float(sigma),
-        None,
-        EstimatorId.GPD_MLE,
-        {
-            "converged": float(reason != Reason.not_converged),
-            "optimizer_iterations": float(iters),
-            "theta": float(theta),
-            "profile_loglik": float(_profile_loglik(theta, x)[0][0]),
-        },
-    )
+    return _fitted(_outcome(EstimatorId.GPD_MLE, _gpd_mle_rows(x[None, :]), x))
 
 
 def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -478,7 +549,7 @@ def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, ...]:
     """
     rows = np.arange(len(x))
     with np.errstate(all="ignore"):
-        mean, high = x.mean(axis=1), x.max(axis=1)
+        mean, high = _row_mean(x), x.max(axis=1)
         reason = _first_reason(
             *_excess_checks(x.min(axis=1), high),
             (high <= 0, Reason.all_zero),
@@ -553,7 +624,7 @@ def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, ...]:
         for r, (_, _, u) in state.items():
             theta[r] = math.exp(u)
         t = theta[:, None] * x
-        xi = np.log1p(t, out=t).mean(axis=1)
+        xi = _row_mean(np.log1p(t, out=t))
         sigma = xi / theta
         fitted = _first_reason(
             (~converged, Reason.not_converged),
@@ -571,20 +642,31 @@ def estimate_hill(x, k: int) -> FitResult:
     which must therefore be positive.  ``mu_hat`` reports the threshold.
     """
     arr = _sample(x)
-    threshold, top = _top_k(arr, k)
-    xi, reason = _hill_rows(top[None, :], np.array([threshold]), arr.min(keepdims=True))
-    _check(reason[0], "Hill estimator")
-    return FitResult(float(xi[0]), None, threshold, EstimatorId.HILL, {"k": float(k)})
+    threshold, _, _, top, low = _reduce_pot(arr[None, :], k)
+    xi, reason = _hill_rows(top, threshold, low)
+    return _fitted(_outcome(EstimatorId.HILL, (xi, threshold, reason), arr, k=k))
 
 
-def _top_k(arr: np.ndarray, k: int) -> tuple[float, np.ndarray]:
-    """X_(n-k) of a 1-D sample and its k largest values, sorted: one
-    partition serves both, and sorted, the top k sum in the same order as in
-    a full sort of the sample."""
-    if not _is_int(k) or not 1 <= k < arr.size:
-        raise ValueError(f"k must satisfy 1 <= k < n = {arr.size}, got {k!r}")
-    part = np.partition(arr, arr.size - k - 1)
-    return float(part[arr.size - k - 1]), np.sort(part[arr.size - k :])
+def _reduce_pot(xs: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Each row of samples ``xs`` (folded already, if asked) reduced to its
+    threshold X_(n-k), its excesses over it, their count, its k largest
+    values, sorted, and its minimum.  Row i of the (rows, k) excesses holds
+    its count[i] excesses first, in sample order: at most k values exceed
+    X_(n-k), fewer when values tie with it.  One partition of a row serves
+    the threshold and the top k, which, sorted, sum in the same order as in a
+    full sort of the row."""
+    n = xs.shape[1]
+    if not _is_int(k) or not 1 <= k < n:
+        raise ValueError(f"k must satisfy 1 <= k < n = {n}, got {k!r}")
+    threshold, count = np.empty(len(xs)), np.empty(len(xs), dtype=int)
+    exc, top = np.empty((len(xs), k)), np.empty((len(xs), k))
+    for row, x in enumerate(xs):
+        part = np.partition(x, n - k - 1)
+        threshold[row], top[row] = part[n - k - 1], np.sort(part[n - k :])
+        above = x[x > threshold[row]]
+        count[row] = above.size
+        np.subtract(above, threshold[row], out=exc[row, : above.size])
+    return threshold, exc, count, top, xs.min(axis=1)
 
 
 def _hill_rows(
@@ -595,7 +677,7 @@ def _hill_rows(
     each sample's minimum, which shows a NaN or -inf below the threshold."""
     with np.errstate(all="ignore"):
         ratio = top / threshold[:, None]
-        xi = np.log(ratio, out=ratio).mean(axis=1)
+        xi = _row_mean(np.log(ratio, out=ratio))
     reason = _first_reason(
         (~(np.isfinite(low) & np.isfinite(top[:, -1])), Reason.non_finite),
         (threshold <= 0, Reason.threshold_nonpositive),

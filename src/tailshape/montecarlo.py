@@ -11,17 +11,18 @@ Scenarios without k follow the excess-over-minimum recipe: the smallest
 observation estimates the support bound and :func:`tailshape.pot.fit_all`
 fits the strictly positive excesses over it (Pareto ML and the transforms the
 original observations).  Scenarios with k follow
-:func:`tailshape.pot.pot_estimate`: each sample is reduced at once to its
-threshold X_(n-k), its excesses over it and its k largest values, which the
-Hill row kernel fits.  Replications are batched: the stream keys of a block
-of them are hashed at once, a chunk of the block is drawn, one row per
-stream, through its source's ``sample_rows``, and fitted by one stacked
-``fit_all`` call per excess count (ties leave fewer excesses).  Every row is
-bit for bit the sample ``source.sample(n, RngStream(seed, r))`` gives.  A
-chunk holds an eighth of :data:`tailshape.estimators.ELEMENT_BUDGET` values
-(n per row, or k in POT runs, whose samples are drawn a few rows at a time
-and reduced at once), so memory does not grow with m, and every row gets
-exactly the estimates of a replication fitted alone.  With several workers,
+:func:`tailshape.pot.pot_estimate`: the samples are reduced, by the
+reduction ``pot_estimate`` runs on its one sample, to their thresholds
+X_(n-k), their excesses over them and their k largest values, which the Hill
+row kernel fits.  Replications are batched: the stream keys of a block of
+them are hashed at once, a chunk of the block is drawn, one row per stream,
+through its source's ``sample_rows``, and fitted by one stacked ``fit_all``
+call per excess count (ties leave fewer excesses).  Every row is bit for bit
+the sample ``source.sample(n, RngStream(seed, r))`` gives.  A chunk holds
+:data:`tailshape.estimators.ELEMENT_BUDGET` values (n per row, or k in POT
+runs, whose samples are drawn a few rows at a time and reduced at once), so
+memory does not grow with m, and every row gets exactly the estimates of a
+replication fitted alone.  With several workers,
 :func:`run_experiments` runs every scenario's replication ranges in one
 process pool.
 
@@ -66,7 +67,7 @@ from .distributions import (
     sample_student_t,
     sample_symmetric_stable,
 )
-from .estimators import ELEMENT_BUDGET, _OK, EstimatorId, Reason, _hill_rows, _is_int, _top_k
+from .estimators import ELEMENT_BUDGET, _OK, EstimatorId, Reason, _hill_rows, _is_int, _reduce_pot
 from .pot import DEFAULT_POT_ESTIMATORS, fit_all
 
 __all__ = [
@@ -336,9 +337,10 @@ def _replicate_range(spec: ExperimentSpec, start: int, stop: int):
     states do not grow with m.  Within a block, a chunk of replications is
     drawn at once, one row per stream, and its rows are fitted by one
     :func:`tailshape.pot.fit_all` call per excess count (rows with ties have
-    fewer excesses).  About eight (rows x width) arrays are alive while a
-    chunk is fitted, where the width is n, or k in peaks-over-threshold runs,
-    so a chunk holds an eighth of the element budget.
+    fewer excesses).  A chunk holds the element budget: rows x width values,
+    where the width is n, or k in peaks-over-threshold runs.  The arrays alive
+    while a chunk is fitted, about eight of that size, then take a few MiB,
+    and fewer, larger stacked calls share the per-call cost of the kernels.
     """
     slots = {est: np.full(stop - start, np.nan) for est in spec.estimator_set}
     # pot_estimate fails every estimator of a row with fewer than 2 excesses
@@ -346,7 +348,7 @@ def _replicate_range(spec: ExperimentSpec, start: int, stop: int):
     plan = [est for est in spec.estimator_set if est is not EstimatorId.HILL]
     pot = spec.k is not None
     block = ELEMENT_BUDGET // 8
-    chunk = max(1, ELEMENT_BUDGET // (8 * (spec.k if pot else spec.n)))
+    chunk = max(1, ELEMENT_BUDGET // (spec.k if pot else spec.n))
     for b in range(start, stop, block):
         streams = _StreamBlock.keyed(spec.seed, range(b, min(b + block, stop)))
         for a in range(0, len(streams), chunk):
@@ -395,31 +397,23 @@ def _draw_pot(spec: ExperimentSpec, streams: _StreamBlock):
     reason.
 
     Samples are drawn (and folded if asked) a sub-chunk of an eighth of the
-    element budget at a time, and each is reduced at once to its threshold
-    X_(n-k), its excesses over it (sample order kept), its k largest values
-    and its minimum, so only (rows x k) arrays are kept.  Hill is NaN where
-    its kernel fails the row or the row has fewer than 2 excesses.
+    element budget at a time, and each sub-chunk is reduced at once by
+    :func:`tailshape.estimators._reduce_pot`, the reduction of
+    :func:`~tailshape.pot.pot_estimate`, so only (rows x k) arrays are kept.
+    Hill is NaN where its kernel fails the row or the row has fewer than 2
+    excesses.
     """
-    size = len(streams)
-    threshold = np.empty(size)
-    low = np.empty(size)
-    count = np.empty(size, dtype=int)
-    # row i holds its count[i] excesses first; at most k values exceed X_(n-k)
-    excesses, top = np.empty((size, spec.k)), np.empty((size, spec.k))
     per_draw = max(1, ELEMENT_BUDGET // (8 * spec.n))
-    for a in range(0, size, per_draw):
+    parts = []
+    for a in range(0, len(streams), per_draw):
         xs = spec.source.sample_rows(spec.n, streams[a : a + per_draw])
         if spec.fold_absolute:
             np.abs(xs, out=xs)
-        for row, x in enumerate(xs, start=a):
-            threshold[row], top[row] = _top_k(x, spec.k)
-            above = x[x > threshold[row]]
-            count[row] = above.size
-            np.subtract(above, threshold[row], out=excesses[row, : above.size])
-            low[row] = x.min()
+        parts.append(_reduce_pot(xs, spec.k))
+    threshold, excesses, count, top, low = (np.concatenate(part) for part in zip(*parts))
 
     def stack(rows, width):
-        whole = width == spec.k and rows.size == size
+        whole = width == spec.k and rows.size == len(count)
         exc = excesses if whole else excesses[rows, :width]
         return exc, exc.min(axis=1), exc
 

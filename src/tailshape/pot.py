@@ -13,11 +13,13 @@ values only) unless ``fold_absolute`` is requested explicitly.  The
 replication engine runs the same pipeline on stacks of samples through the
 row kernels (:mod:`tailshape.montecarlo`).
 
-A failure has one path: the row kernel of an estimator finds it and names
-its :class:`~tailshape.estimators.Reason`.  A stack keeps the reason of each
-row; a 1-D estimator runs its kernel on one row and raises the exception of
-that reason.  Only the transforms keep a 1-D path of their own
-(:func:`iterate_transform`, which their kernel matches row for row).
+There is one fit path and one failure path.  The row kernel of an estimator
+fits a stack of rows and names each failed row's
+:class:`~tailshape.estimators.Reason`; one sample is fitted as a stack of one
+row, whose fit or failure message comes from the one mapping of a row to a
+:class:`~tailshape.estimators.FitResult` or a message.  One reduction of
+samples to their threshold, excesses, top k and minimum serves
+:func:`pot_estimate` and the replication engine.
 """
 
 from __future__ import annotations
@@ -27,25 +29,23 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import (
+    _GPD_FITS,
+    _INITIAL,
     _OK,
-    EstimationError,
     EstimatorId,
     FitResult,
     PlottingPosition,
     Reason,
     _gpd_mle_rows,
+    _hill_rows,
     _is_int,
+    _outcome,
     _pareto_ml_rows,
     _pwm_rows,
-    _top_k,
+    _reduce_pot,
     _zhang_stephens_rows,
-    estimate_gpd_mle,
-    estimate_hill,
-    estimate_pareto_ml,
-    estimate_pwm,
-    estimate_zhang_stephens,
 )
-from .transform import _iterate_transform_rows, _transform_row_checks, iterate_transform
+from .transform import _iterate_transform_rows, _transform_row_checks
 
 __all__ = [
     "DEFAULT_POT_ESTIMATORS",
@@ -92,73 +92,44 @@ class PotResult:
 
 def select_threshold(x, k: int) -> float:
     """The (n-k)-th order statistic (ascending, 1-indexed) of the sample."""
-    return _top_k(np.asarray(x, dtype=float).ravel(), k)[0]
+    return float(_reduce_pot(np.asarray(x, dtype=float).ravel()[None, :], k)[0][0])
+
+
+def _check_exceedances(count: int, threshold: float) -> None:
+    if count < 2:
+        raise ValueError(f"need at least 2 exceedances above threshold {threshold}, got {count}")
 
 
 def excesses(x, threshold: float) -> np.ndarray:
     """Strictly positive excesses x - threshold for observations above it."""
     arr = np.asarray(x, dtype=float).ravel()
     exc = arr[arr > threshold] - threshold
-    if exc.size < 2:
-        raise ValueError(
-            f"need at least 2 exceedances above threshold {threshold}, got {exc.size}"
-        )
+    _check_exceedances(exc.size, threshold)
     return exc
 
 
-# transformed estimator -> its initial estimator and that one's name in messages
-_INITIAL = {
-    EstimatorId.TRANSFORMED_ZS: (EstimatorId.ZHANG_STEPHENS, "Zhang-Stephens"),
-    EstimatorId.TRANSFORMED_PWM: (EstimatorId.PWM, "PWM"),
-}
-
-
-def _attempt(fitter, *args) -> FitResult | str:
-    """The fit, or the message of the estimation error that stopped it."""
-    try:
-        return fitter(*args)
-    except (ValueError, EstimationError) as err:
-        return str(err)
-
-
-def _one_fit(estimator: EstimatorId, x, support, exc, rounds: int, fits) -> FitResult | str:
-    """The 1-D fit of ``estimator``, or the message of its failure; a
-    transformed estimator transforms ``x`` with its initial fit in ``fits``."""
-    if estimator in _INITIAL:
-        base, name = _INITIAL[estimator]
-        if isinstance(fits[base], str):
-            return f"initial {name} fit failed: {fits[base]}"
-        return _attempt(iterate_transform, x, fits[base], support, rounds)
-    # built per call, so the estimators are looked up by their module-level names
-    fitter = {
-        EstimatorId.ZHANG_STEPHENS: estimate_zhang_stephens,
-        EstimatorId.PWM: estimate_pwm,
-        EstimatorId.GPD_MLE: estimate_gpd_mle,
-        EstimatorId.PARETO_ML: estimate_pareto_ml,
-    }[estimator]
-    return _attempt(fitter, x if estimator is EstimatorId.PARETO_ML else exc)
+_SORTED = {EstimatorId.ZHANG_STEPHENS, EstimatorId.PWM}
+_POSITIONS = PlottingPosition()
 
 
 def _kernel_fits(estimator: EstimatorId, x, support, exc, srt, checked, rounds: int, fits):
-    """``(xi, scale, reason)`` of each row of a stack from the row kernel of
-    ``estimator``, with ``srt`` the sorted excesses.  A transformed estimator
-    transforms ``x`` with its initial fit in ``fits``, ``checked`` being the
-    transform's row checks.  Rows of fewer than 2 values fail as too few."""
-    nan = np.full(len(x), np.nan)
-    on_x = estimator is EstimatorId.PARETO_ML or estimator in _INITIAL
-    if (x if on_x else exc).shape[1] < 2:
-        return nan, nan, np.full(len(x), Reason.too_few)
+    """The outputs ``(xi, scale, reason, ...)`` of the row kernel of
+    ``estimator`` on a stack, with ``srt`` the sorted excesses.  A transformed
+    estimator transforms ``x`` with its initial fit in ``fits``, ``checked``
+    being the transform's row checks.  Rows of fewer than 2 values fail as too
+    few (a transformed estimator's after its initial fit and checks)."""
     if estimator in _INITIAL:
-        xi, sigma, initial = fits[_INITIAL[estimator][0]]
-        xi, reason = _iterate_transform_rows(x, support, sigma, xi, rounds, initial, checked)
-        return xi, nan, reason
-    kernel = {
-        EstimatorId.PARETO_ML: lambda: _pareto_ml_rows(x),
-        EstimatorId.PWM: lambda: _pwm_rows(srt, PlottingPosition()),
-        EstimatorId.ZHANG_STEPHENS: lambda: _zhang_stephens_rows(srt),
-        EstimatorId.GPD_MLE: lambda: _gpd_mle_rows(exc),
-    }[estimator]
-    return kernel()[:3]
+        return _iterate_transform_rows(x, support, fits[_INITIAL[estimator]], rounds, checked)
+    if (x if estimator is EstimatorId.PARETO_ML else exc).shape[1] < 2:
+        nan = np.full(len(x), np.nan)
+        return nan, nan, np.full(len(x), Reason.too_few)
+    if estimator is EstimatorId.PARETO_ML:
+        return _pareto_ml_rows(x)
+    if estimator is EstimatorId.GPD_MLE:
+        return _gpd_mle_rows(exc)
+    if estimator is EstimatorId.PWM:
+        return _pwm_rows(srt, _POSITIONS)
+    return _zhang_stephens_rows(srt)
 
 
 def fit_all(
@@ -167,9 +138,10 @@ def fit_all(
     """Fit each wanted estimator once; failures map to their messages.
 
     Zhang-Stephens, PWM and GPD ML fit the excesses ``exc`` (GPD ML even when
-    not converged), Pareto ML fits ``x``.  A transformed estimator runs
-    :func:`iterate_transform` on ``x`` with the support estimate ``support``,
-    reusing the one Zhang-Stephens or PWM fit of the call.  Hill needs
+    not converged), Pareto ML fits ``x``.  A transformed estimator transforms
+    ``x`` with the support estimate ``support`` and the one Zhang-Stephens or
+    PWM fit of the call, refreshed ``rounds`` times as by
+    :func:`~tailshape.transform.iterate_transform`.  Hill needs
     :func:`pot_estimate`.  Returns ``{EstimatorId: FitResult | message}``.
 
     Stack form: ``x`` of shape (r, n), ``exc`` of shape (r, w) and
@@ -179,49 +151,61 @@ def fit_all(
     ``(xi, reason)``: the r shape estimates and each row's
     :class:`~tailshape.estimators.Reason`, with xi NaN wherever the reason is
     not ``ok`` (including GPD ML fits that did not converge).  So a failure
-    fails only its row, and each row gets exactly the estimate of a 1-D call
-    on it, whose failure message is that of the row's reason.
+    fails only its row.  One sample is fitted as a stack of one row, so each
+    row of a stack gets exactly the estimate of the one-sample call on it,
+    whose failure message is that of the row's reason.
     """
     if EstimatorId.HILL in wanted:
         raise ValueError("the Hill estimator needs the raw sample and k; use pot_estimate")
+    transformed = set(wanted) & _INITIAL.keys()
+    if transformed and (not _is_int(rounds) or rounds < 0):
+        raise ValueError(f"rounds must be a non-negative integer, got {rounds!r}")
     single = np.ndim(x) == 1
-    if not single:
-        x, support, exc = (np.asarray(a, dtype=float) for a in (x, support, exc))
-        srt = np.sort(exc, axis=1)
-        # the transformed estimators share their row checks
-        checked = _transform_row_checks(x, support) if set(wanted) & _INITIAL.keys() else None
+    xs, supports, excs = (np.asarray(a, dtype=float) for a in (x, support, exc))
+    if single:
+        xs, supports, excs = xs[None, :], supports.reshape(1), excs.reshape(1, -1)
+    # Zhang-Stephens and PWM fit the sorted excesses
+    srt = np.sort(excs, axis=1) if _SORTED & {_INITIAL.get(e, e) for e in wanted} else None
+    # the transformed estimators share their row checks
+    checked = _transform_row_checks(xs, supports) if transformed else None
     fits = {}
     for estimator in dict.fromkeys(wanted):
-        for e in (_INITIAL.get(estimator, (estimator,))[0], estimator):
+        for e in (_INITIAL.get(estimator, estimator), estimator):
             if e not in fits:
-                fits[e] = (
-                    _one_fit(e, x, support, exc, rounds, fits)
-                    if single
-                    else _kernel_fits(e, x, support, exc, srt, checked, rounds, fits)
-                )
-    if single:
-        return {estimator: fits[estimator] for estimator in wanted}
-    return {e: (np.where(fits[e][2] == _OK, fits[e][0], np.nan), fits[e][2]) for e in wanted}
+                fits[e] = _kernel_fits(e, xs, supports, excs, srt, checked, rounds, fits)
+    if not single:
+        return {e: (np.where(fits[e][2] == _OK, fits[e][0], np.nan), fits[e][2]) for e in wanted}
+    outcomes = {}
+    for e, out in fits.items():  # an initial fit before its transformed one
+        sample = excs[0] if e in _GPD_FITS else xs[0]
+        outcome = _outcome(e, out, sample, support=support, initial=outcomes.get(_INITIAL.get(e)))
+        outcomes[e] = outcome if isinstance(outcome, FitResult) else outcome[1]
+    return {e: outcomes[e] for e in wanted}
 
 
 def pot_estimate(x, cfg: PotConfig) -> PotResult:
     """Run the configured estimator set above the k-largest threshold.
 
     Hill runs here and the rest through :func:`fit_all`, with no refresh
-    rounds; failures are recorded per estimator in ``failures``.
+    rounds; failures are recorded per estimator in ``failures``.  The sample
+    is reduced to its threshold, excesses and top k once, by the reduction
+    the replication engine uses.
     """
     arr = np.asarray(x, dtype=float).ravel()
     if cfg.fold_absolute:
         arr = np.abs(arr)
-    threshold = select_threshold(arr, cfg.k)
-    exc = excesses(arr, threshold)
-    result = PotResult(threshold=threshold, excess_count=int(exc.size))
+    threshold, exc, count, top, low = _reduce_pot(arr[None, :], cfg.k)
+    _check_exceedances(int(count[0]), float(threshold[0]))
+    exc = exc[0, : count[0]]
+    result = PotResult(threshold=float(threshold[0]), excess_count=int(count[0]))
 
     wanted = tuple(dict.fromkeys(cfg.estimators))
     plan = [e for e in wanted if e is not EstimatorId.HILL]
     outcomes = fit_all(exc, float(exc.min()), exc, plan)
     if EstimatorId.HILL in wanted:
-        outcomes[EstimatorId.HILL] = _attempt(estimate_hill, arr, cfg.k)
+        xi, reason = _hill_rows(top, threshold, low)
+        hill = _outcome(EstimatorId.HILL, (xi, threshold, reason), arr, k=cfg.k)
+        outcomes[EstimatorId.HILL] = hill if isinstance(hill, FitResult) else hill[1]
     for estimator in wanted:
         outcome = outcomes[estimator]
         if isinstance(outcome, str):

@@ -13,28 +13,31 @@ to zero).
 Applying Pareto maximum likelihood to the transformed sample yields the
 transformed shape estimate; quantiles of the original GPD are recovered from
 Pareto quantiles by inverting the affine map.  The three-parameter map, the
-clamp and Pareto ML are each written once; :func:`iterate_transform` composes
-them for one sample and its private row kernel for a stack of equal-length
-samples, one per row, each with its own initial fit.
+clamp and Pareto ML are each written once and composed once, in a private
+row kernel that transforms a stack of equal-length samples, one per row,
+each with its own initial fit.  :func:`iterate_transform` and
+:func:`transformed_shape_estimate` check their arguments and run that kernel
+on one row; :func:`tailshape.pot.fit_all` runs it on one row or a stack.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .estimators import (
+    _INITIAL,
     _OK,
-    EstimatorId,
     FitResult,
     Reason,
     _first_reason,
+    _fitted,
     _is_int,
+    _outcome,
     _pareto_ml_rows,
-    estimate_pareto_ml,
 )
 
 __all__ = [
@@ -54,10 +57,8 @@ class TransformForm(Enum):
     TWO_PARAMETER = "two_parameter"
 
 
-_TRANSFORMED_ID = {
-    EstimatorId.ZHANG_STEPHENS: EstimatorId.TRANSFORMED_ZS,
-    EstimatorId.PWM: EstimatorId.TRANSFORMED_PWM,
-}
+# initial estimator -> its transformed estimator
+_TRANSFORMED_ID = {initial: transformed for transformed, initial in _INITIAL.items()}
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,8 @@ class TransformSpec:
 
 def _three_parameter_map(mu_hat, sigma_hat, xi_hat):
     """Slope and intercept of the three-parameter map, for scalars or arrays."""
-    return xi_hat * mu_hat / sigma_hat, mu_hat * (1.0 - xi_hat * mu_hat / sigma_hat)
+    slope = xi_hat * mu_hat / sigma_hat
+    return slope, mu_hat * (1.0 - slope)
 
 
 def _clamped_map(x, slope, intercept, bound) -> tuple[np.ndarray, np.ndarray]:
@@ -160,31 +162,12 @@ def transformed_shape_estimate(x, initial: FitResult, mu_hat: float) -> FitResul
     ``mean(log1p((xi_hat/sigma_hat) * (x - mu_hat)))``.
 
     The result carries the transformed tail index ``alpha_transformed``
-    (infinite when the fitted shape collapses to zero) and ``clamp_count``.
+    (infinite when the fitted shape collapses to zero), ``clamp_count`` and
+    ``initial_xi``.  It is :func:`iterate_transform` with no refresh rounds.
     """
-    if initial.sigma_hat is None:
-        raise ValueError("initial fit must carry a scale estimate")
-    try:
-        estimator = _TRANSFORMED_ID[initial.estimator]
-    except KeyError:
-        raise ValueError(
-            f"no transformed estimator is defined for initial fits from {initial.estimator!r}"
-        ) from None
-    spec = TransformSpec(mu_hat, initial.sigma_hat, initial.xi_hat)
-    outcome = to_pareto(x, spec)
-    pareto = estimate_pareto_ml(outcome.z)
-    xi = pareto.xi_hat
-    return FitResult(
-        xi,
-        None,
-        pareto.mu_hat,
-        estimator,
-        {
-            "clamp_count": float(outcome.clamp_count),
-            "alpha_transformed": 1.0 / xi if xi > 0 else math.inf,
-            "initial_xi": initial.xi_hat,
-        },
-    )
+    fit = iterate_transform(x, initial, mu_hat, 0)
+    del fit.diagnostics["refresh_rounds"]
+    return fit
 
 
 def iterate_transform(x, initial: FitResult, mu_hat: float, rounds: int) -> FitResult:
@@ -195,21 +178,25 @@ def iterate_transform(x, initial: FitResult, mu_hat: float, rounds: int) -> FitR
     support estimates and replacing only the shape with the previous round's
     estimate.  Iteration stops early at a non-positive shape (the transform
     would clamp wholesale and sit at the same fixed point).  The default used
-    by the replication harness is zero rounds.
+    by the replication harness is zero rounds.  ``clamp_count`` and
+    ``initial_xi`` describe the last map, ``refresh_rounds`` counts the rounds
+    done.
     """
     if not _is_int(rounds) or rounds < 0:
         raise ValueError(f"rounds must be a non-negative integer, got {rounds!r}")
-    fit = transformed_shape_estimate(x, initial, mu_hat)
-    done = 0
-    current = initial
-    for _ in range(rounds):
-        if fit.xi_hat <= 0:
-            break
-        current = replace(current, xi_hat=fit.xi_hat)
-        fit = transformed_shape_estimate(x, current, mu_hat)
-        done += 1
-    fit.diagnostics["refresh_rounds"] = float(done)
-    return fit
+    if initial.sigma_hat is None:
+        raise ValueError("initial fit must carry a scale estimate")
+    try:
+        estimator = _TRANSFORMED_ID[initial.estimator]
+    except KeyError:
+        raise ValueError(
+            f"no transformed estimator is defined for initial fits from {initial.estimator!r}"
+        ) from None
+    TransformSpec(mu_hat, initial.sigma_hat, initial.xi_hat)  # the argument checks
+    arr = np.asarray(x, dtype=float).ravel()[None, :]
+    fit = np.array([initial.xi_hat]), np.array([initial.sigma_hat]), np.array([_OK])
+    out = _iterate_transform_rows(arr, np.array([mu_hat], dtype=float), fit, rounds)
+    return _fitted(_outcome(estimator, out, arr[0], support=mu_hat))
 
 
 def _transform_row_checks(x, mu_hat) -> np.ndarray:
@@ -222,30 +209,40 @@ def _transform_row_checks(x, mu_hat) -> np.ndarray:
     )
 
 
-def _iterate_transform_rows(
-    x, mu_hat, sigma_hat, xi_hat, rounds: int, initial: np.ndarray, checked: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+def _iterate_transform_rows(x, mu_hat, initial, rounds: int, checked=None) -> tuple:
     """Row kernel of :func:`iterate_transform` with three-parameter maps.
 
-    Row i of ``x`` is transformed with ``mu_hat[i]``, ``sigma_hat[i]`` and
-    ``xi_hat[i]``, the initial fit whose reason is ``initial[i]``;
-    ``checked`` is :func:`_transform_row_checks` of ``x`` and ``mu_hat``.
-    The result is each row's shape estimate after ``rounds`` refresh rounds
-    and its reason.  A refreshed estimate is a Pareto ML fit, so a
-    non-positive one is zero, which maps every value to the bound and fits
-    zero again: the early stop of :func:`iterate_transform` would not change
-    it.
+    Row i of ``x`` is transformed with ``mu_hat[i]`` and the initial fit of
+    row i of ``initial``, the outputs ``(xi_hat, sigma_hat, reason, ...)`` of
+    the initial estimator's kernel; ``checked`` is
+    :func:`_transform_row_checks` of ``x`` and ``mu_hat``, computed if not
+    given.  The result is, per row, the shape estimate after up to ``rounds``
+    refresh rounds, the Pareto scale of that fit, the reason, and the clamp
+    count, the refresh rounds done and the shape of the last map.  A row stops
+    refreshing at its first failure or at a zero shape estimate (a Pareto ML
+    fit is never negative): its shape is then kept, so each later map repeats
+    its last one and its outputs stay those of that map.
     """
+    shape, sigma_hat, initial = initial[:3]
+    if checked is None:
+        checked = _transform_row_checks(x, mu_hat)
     reason = np.where(initial != _OK, int(Reason.initial_failed), checked)
-    xi = xi_hat
+    done = np.zeros(len(x), dtype=int)
+    if x.shape[1] < 2:  # too few values to map: rows fail after their checks
+        nan = np.full(len(x), np.nan)
+        return nan, nan, np.where(reason == _OK, int(Reason.too_few), reason), nan, done, shape
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(rounds + 1):
-            slope, intercept = _three_parameter_map(mu_hat, sigma_hat, xi)
-            z, _ = _clamped_map(x, slope[:, None], intercept[:, None], mu_hat[:, None])
-            xi, _, fit = _pareto_ml_rows(z)
+        for r in range(rounds + 1):
+            slope, intercept = _three_parameter_map(mu_hat, sigma_hat, shape)
+            z, below = _clamped_map(x, slope[:, None], intercept[:, None], mu_hat[:, None])
+            xi, mu, fit = _pareto_ml_rows(z)
             # a row keeps the reason of its first failure
             reason = np.where(reason == _OK, fit, reason)
-    return xi, reason
+            if r < rounds:
+                live = (reason == _OK) & (xi > 0)
+                done += live
+                shape = np.where(live, xi, shape)
+    return xi, mu, reason, np.add.reduce(below, axis=1), done, shape
 
 
 def gpd_quantile_via_transform(spec: TransformSpec, alpha_transformed: float, prob):

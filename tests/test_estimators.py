@@ -40,6 +40,7 @@ from tailshape.estimators import (
     _profile_loglik,
     _profile_score,
     _profile_xi,
+    _pwm_rows,
 )
 from tailshape.pot import excesses, select_threshold
 
@@ -124,6 +125,81 @@ class TestPwm:
         a = estimate_pwm(z, PlottingPosition(0.35))
         b = estimate_pwm(z, PlottingPosition(0.0))
         assert a.xi_hat != b.xi_hat
+
+
+_TINY = np.finfo(float).tiny
+
+
+def _normal_shifts(x, sigma):
+    """The j in [-1000, 1000] for which x * 2^j and the fitted scale sigma * 2^j
+    are all normal."""
+    values = np.abs(np.append(x, sigma))
+    low, high = values.min(), values.max()
+    return [j for j in range(-1000, 1001) if math.ldexp(low, j) >= _TINY
+            and math.isfinite(math.ldexp(high, j))]
+
+
+def _assert_power_of_two_equivariant(x, shifts):
+    """estimate_pwm and the stacked kernel on x * 2^j: the shape of x bit for
+    bit and 2^j times its scale, for each j of ``shifts``."""
+    base = estimate_pwm(x)
+    for j in shifts:
+        fit = estimate_pwm(np.ldexp(x, j))
+        assert fit.xi_hat == base.xi_hat
+        assert fit.sigma_hat == math.ldexp(base.sigma_hat, j)
+    stack = np.sort(np.ldexp(x, np.array(shifts)[:, None]), axis=1)
+    xi, sigma, reason, *_ = _pwm_rows(stack, PlottingPosition())
+    assert (reason == Reason.ok).all()
+    assert (xi == base.xi_hat).all()
+    assert (sigma == np.ldexp(base.sigma_hat, shifts)).all()
+
+
+class TestPwmExtremeScales:
+    """PWM forms its moments on each row divided by the power of two of its
+    maximum: a0 * a1 used to overflow or underflow far from unit scale."""
+
+    SAMPLE = sample_gpd(GpdParams(0.0, 1.0, 0.3), 200, RngStream(5, 0))
+
+    def test_power_of_two_scaling_is_exact(self):
+        shifts = _normal_shifts(self.SAMPLE, estimate_pwm(self.SAMPLE).sigma_hat)
+        assert shifts[0] < -900 and shifts[-1] > 900
+        _assert_power_of_two_equivariant(self.SAMPLE, shifts)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.floats(min_value=1e-6, max_value=1e6), min_size=2, max_size=50),
+        st.lists(st.integers(min_value=-1000, max_value=1000), min_size=1, max_size=8),
+    )
+    def test_power_of_two_scaling_property(self, values, shifts):
+        x = np.array(values)
+        try:
+            sigma = estimate_pwm(x).sigma_hat
+        except (ValueError, EstimationError):
+            return
+        shifts = sorted(set(shifts) & set(_normal_shifts(x, sigma)))
+        if shifts:
+            _assert_power_of_two_equivariant(x, shifts)
+
+    @pytest.mark.parametrize("scale", [1e155, 1e-300])
+    def test_decimal_extremes_fit(self, scale):
+        # these raised "sigma_hat must be positive when present, got inf / 0.0"
+        base = estimate_pwm(self.SAMPLE)
+        fit = estimate_pwm(self.SAMPLE * scale)
+        assert fit.xi_hat == pytest.approx(base.xi_hat, rel=1e-12)
+        assert fit.sigma_hat == pytest.approx(base.sigma_hat * scale, rel=1e-12)
+        x = self.SAMPLE * scale
+        support = float(x.min())
+        out = fit_all(x, support, x[x > support] - support, (EstimatorId.TRANSFORMED_PWM,))
+        assert isinstance(out[EstimatorId.TRANSFORMED_PWM], FitResult)
+
+    def test_huge_values_fit(self):
+        # a0 * a1 overflowed for [1.7e308, 1e-3]; the fit is that of the
+        # sample scaled down by 2^1000, scaled back
+        huge = np.array([1.7e308, 1e-3])
+        fit = estimate_pwm(huge)
+        small = estimate_pwm(np.ldexp(huge, -1000))
+        assert fit.xi_hat == small.xi_hat
+        assert fit.sigma_hat == math.ldexp(small.sigma_hat, 1000)
 
 
 class TestZhangStephens:
@@ -762,7 +838,6 @@ _ZEROS = [0.0, 0.0, 0.0]
 _MEAN_UNDERFLOWS = [0.0, 0.0, 5e-324]
 _SCAN_RANGE_OVERFLOWS = [0.0, 1e-310, 0.0]  # 1e4 / mean(x) overflows
 _BEYOND_308_DECADES = [990.0, 2.2250738585072014e-308]
-_HUGE = [1.7e308, 1e-3]
 FAILURES = [
     (name, fitter, values, ValueError, message)
     for name, (values, message) in _REJECTED_ALIKE.items()
@@ -798,7 +873,6 @@ FAILURES = [
      "xi_hat must be finite, got inf"),
     ("308 decades", estimate_zhang_stephens, _BEYOND_308_DECADES, ValueError,
      "xi_hat must be finite, got nan"),
-    ("huge", estimate_pwm, _HUGE, ValueError, "sigma_hat must be positive when present, got inf"),
     ("non-positive threshold", partial(estimate_hill, k=3), [-3.0, -2.0, -1.0, 0.5, 1.0, 2.0],
      ValueError, "Hill estimator needs a positive threshold X_(n-k)"),
     ("nan", partial(estimate_hill, k=1), [1.0, math.nan, 2.0, 3.0], ValueError,
@@ -855,7 +929,8 @@ class TestFailureMessages:
             (_SCAN_RANGE_OVERFLOWS,
              ["nonpositive", "invalid_estimate", "invalid_estimate", "no_scan_range"]),
             (_BEYOND_308_DECADES, ["invalid_estimate", "ok", "invalid_estimate", "not_converged"]),
-            ([1.7e308, 1.7e308, 1.0], ["ok", "invalid_estimate", "invalid_estimate", "invalid_estimate"]),
+            # PWM scales the row by the power of two of its maximum, so it fits
+            ([1.7e308, 1.7e308, 1.0], ["ok", "ok", "invalid_estimate", "invalid_estimate"]),
             ([0.5, 1.0, 4.0], ["ok"] * 4),
         ],
     )

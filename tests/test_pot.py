@@ -254,11 +254,11 @@ class TestFitAll:
 
     def test_initial_fit_computed_once(self, monkeypatch):
         calls = []
-        original = tailshape.pot.estimate_zhang_stephens
+        original = tailshape.pot._zhang_stephens_rows
         monkeypatch.setattr(
             tailshape.pot,
-            "estimate_zhang_stephens",
-            lambda exc: calls.append(exc) or original(exc),
+            "_zhang_stephens_rows",
+            lambda srt: calls.append(srt) or original(srt),
         )
         x, support, exc = _over_minimum(sample_gpd(GpdParams(1.0, 1.0, 0.5), 200, RngStream(60, 0)))
         out = fit_all(x, support, exc, (EstimatorId.TRANSFORMED_ZS, EstimatorId.ZHANG_STEPHENS))
@@ -459,14 +459,14 @@ class TestFitAllStack:
         def refuse(*args):
             raise AssertionError("a 1-D estimator ran on a row of a stack")
 
-        for name in (
-            "estimate_zhang_stephens",
-            "estimate_pwm",
-            "estimate_gpd_mle",
-            "estimate_pareto_ml",
-            "iterate_transform",
+        for module, name in (
+            (tailshape.estimators, "estimate_zhang_stephens"),
+            (tailshape.estimators, "estimate_pwm"),
+            (tailshape.estimators, "estimate_gpd_mle"),
+            (tailshape.estimators, "estimate_pareto_ml"),
+            (tailshape.transform, "iterate_transform"),
         ):
-            monkeypatch.setattr(tailshape.pot, name, refuse)
+            monkeypatch.setattr(module, name, refuse)
         x = np.array([[1.0, 2.0, 4.0], [2.0, 2.0, 2.0], [-1.0, 0.5, 3.0], [1.0, 2.0, np.inf]])
         support = x.min(axis=1)
         stacked = fit_all(x, support, x - support[:, None], PLAN_ESTIMATORS)
