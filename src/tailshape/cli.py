@@ -71,10 +71,6 @@ class UsageError(Exception):
     pass
 
 
-class ConfigError(Exception):
-    pass
-
-
 class DataError(Exception):
     pass
 
@@ -99,21 +95,30 @@ def _positive_int(raw: str) -> int:
 # ---------------------------------------------------------------------------
 
 _GLOBAL_KEYS = {"seed", "m", "rounds", "estimators"}
-_SCENARIO_KEYS = _GLOBAL_KEYS | {"source", "mu", "sigma", "xi", "df", "index", "n", "k", "fold"}
 _TABLE_KEYS = {"name", "m", "seed"}
+# each source's constructor and the keys of its positional parameters
+_SOURCES = {
+    "gpd": (lambda mu, sigma, xi: GpdSource(GpdParams(mu, sigma, xi)), ("mu", "sigma", "xi")),
+    "gpd-pareto": (GpdParetoSource, ("mu", "xi")),
+    "student-t": (StudentTSource, ("df",)),
+    "stable": (StableSource, ("index",)),
+}
+_PARAM_KEYS = tuple(dict.fromkeys(key for _, keys in _SOURCES.values() for key in keys))
+_SCENARIO_KEYS = _GLOBAL_KEYS | {"source", "n", "k", "fold", *_PARAM_KEYS}
+_KEYS = {"global": _GLOBAL_KEYS, "scenario": _SCENARIO_KEYS, "table": _TABLE_KEYS}
 
 
 @dataclass
 class _Block:
-    kind: str  # "scenario" | "table"
+    kind: str  # "global" | "scenario" | "table"
     line: int
     entries: dict[str, tuple[str, int]]
 
 
-def _parse_blocks(text: str, path: str) -> tuple[dict[str, tuple[str, int]], list[_Block]]:
-    globals_: dict[str, tuple[str, int]] = {}
+def _parse_blocks(text: str, path: str) -> tuple[_Block, list[_Block]]:
+    """The keys before any section, as a "global" block, and the sections."""
+    globals_ = current = _Block("global", 0, {})
     blocks: list[_Block] = []
-    current: _Block | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -121,159 +126,122 @@ def _parse_blocks(text: str, path: str) -> tuple[dict[str, tuple[str, int]], lis
         if line.startswith("[") and line.endswith("]"):
             kind = line[1:-1].strip().lower()
             if kind not in ("scenario", "table"):
-                raise ConfigError(f"{path}:{lineno}: unknown section [{kind}]")
+                raise UsageError(f"{path}:{lineno}: unknown section [{kind}]")
             current = _Block(kind, lineno, {})
             blocks.append(current)
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise UsageError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.split("#", 1)[0].strip()
         if not value:
-            raise ConfigError(f"{path}:{lineno}: empty value for key {key!r}")
-        target = current.entries if current is not None else globals_
-        allowed = (
-            _GLOBAL_KEYS
-            if current is None
-            else (_SCENARIO_KEYS if current.kind == "scenario" else _TABLE_KEYS)
-        )
-        if key not in allowed:
-            where = f"[{current.kind}]" if current is not None else "global scope"
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r} in {where}")
-        target[key] = (value, lineno)
+            raise UsageError(f"{path}:{lineno}: empty value for key {key!r}")
+        if key not in _KEYS[current.kind]:
+            where = "global scope" if current is globals_ else f"[{current.kind}]"
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r} in {where}")
+        current.entries[key] = (value, lineno)
     return globals_, blocks
 
 
-def _coerce(path: str, key: str, entry: tuple[str, int], kind: type):
-    value, lineno = entry
+def _read(path: str, entries: dict[str, tuple[str, int]], key: str, default=None):
+    """The value of ``key`` in ``entries`` read by its type, or ``default``:
+    a float for source parameters, the estimator tuple, the fold flag, else
+    an int."""
+    if key not in entries:
+        return default
+    value, lineno = entries[key]
+    if key == "estimators":
+        names = [part.strip() for part in value.split(",")]
+        for name in names:
+            if name not in _METHODS:
+                raise UsageError(
+                    f"{path}:{lineno}: unknown estimator {name!r}; "
+                    f"expected one of {sorted(_METHODS)}"
+                )
+        return tuple(_METHODS[name] for name in names)
+    if key == "fold":
+        if value.lower() not in ("true", "false"):
+            raise UsageError(f"{path}:{lineno}: key 'fold' needs true or false, got {value!r}")
+        return value.lower() == "true"
+    kind = float if key in _PARAM_KEYS else int
     try:
-        if kind is int:
-            return int(value)
-        return float(value)
+        return kind(value)
     except ValueError:
-        raise ConfigError(
+        raise UsageError(
             f"{path}:{lineno}: key {key!r} needs a {kind.__name__}, got {value!r}"
         ) from None
 
 
-def _parse_estimators(path: str, entry: tuple[str, int]) -> tuple[EstimatorId, ...]:
-    value, lineno = entry
-    out = []
-    for part in value.split(","):
-        name = part.strip()
-        if name not in _METHODS:
-            raise ConfigError(
-                f"{path}:{lineno}: unknown estimator {name!r}; expected one of {sorted(_METHODS)}"
-            )
-        out.append(_METHODS[name])
-    return tuple(out)
-
-
 def _scenario_source(path: str, block: _Block):
-    if "source" not in block.entries:
-        raise ConfigError(f"{path}:{block.line}: [scenario] needs a 'source' key")
-    value, lineno = block.entries["source"]
-    kind = value.strip().lower()
-    need = {
-        "gpd": ("mu", "sigma", "xi"),
-        "gpd-pareto": ("mu", "xi"),
-        "student-t": ("df",),
-        "stable": ("index",),
-    }
-    if kind not in need:
-        raise ConfigError(f"{path}:{lineno}: unknown source {value!r}")
-    params = {}
-    for key in need[kind]:
-        if key not in block.entries:
-            raise ConfigError(f"{path}:{block.line}: source {kind!r} needs key {key!r}")
-        params[key] = _coerce(path, key, block.entries[key], float)
-    for key in ("mu", "sigma", "xi", "df", "index"):
-        if key in block.entries and key not in need[kind]:
-            raise ConfigError(
-                f"{path}:{block.entries[key][1]}: key {key!r} does not apply to source {kind!r}"
+    entries = block.entries
+    if "source" not in entries:
+        raise UsageError(f"{path}:{block.line}: [scenario] needs a 'source' key")
+    value, lineno = entries["source"]
+    kind = value.lower()
+    if kind not in _SOURCES:
+        raise UsageError(f"{path}:{lineno}: unknown source {value!r}")
+    make, keys = _SOURCES[kind]
+    params = []
+    for key in keys:
+        if key not in entries:
+            raise UsageError(f"{path}:{block.line}: source {kind!r} needs key {key!r}")
+        params.append(_read(path, entries, key))
+    for key in _PARAM_KEYS:
+        if key in entries and key not in keys:
+            raise UsageError(
+                f"{path}:{entries[key][1]}: key {key!r} does not apply to source {kind!r}"
             )
-    try:
-        if kind == "gpd":
-            return GpdSource(GpdParams(params["mu"], params["sigma"], params["xi"]))
-        if kind == "gpd-pareto":
-            return GpdParetoSource(params["mu"], params["xi"])
-        if kind == "student-t":
-            return StudentTSource(params["df"])
-        return StableSource(params["index"])
-    except ValueError as err:
-        raise ConfigError(f"{path}:{block.line}: {err}") from None
+    return make(*params)
+
+
+def _section(path: str, block: _Block, index: int, defaults: dict):
+    """The label and specs of one section; a value out of its range raises
+    ValueError."""
+    entries = block.entries
+
+    def read(key: str):
+        return _read(path, entries, key, defaults.get(key))
+
+    if block.kind == "table":
+        if "name" not in entries:
+            raise UsageError(f"{path}:{block.line}: [table] needs a 'name' key")
+        name = entries["name"][0].lower()
+        return name, table_specs(name, m=read("m"), seed=read("seed"))
+    source = _scenario_source(path, block)
+    if "n" not in entries:
+        raise UsageError(f"{path}:{block.line}: [scenario] needs a sample size 'n'")
+    spec = ExperimentSpec(
+        source=source,
+        fold_absolute=read("fold"),  # a bad fold is reported before a bad n
+        n=read("n"),
+        m=read("m"),
+        k=read("k"),
+        estimators=read("estimators"),
+        seed=read("seed"),
+        rounds=read("rounds"),
+    )
+    return f"scenario{index + 1}", [spec]
 
 
 def parse_config(text: str, path: str, seed_override: int | None = None):
     """Parse a config into labelled spec groups: [(label, [ExperimentSpec])]."""
     globals_, blocks = _parse_blocks(text, path)
     if not blocks:
-        raise ConfigError(f"{path}: config defines no [scenario] or [table] section")
-    default_seed = seed_override if seed_override is not None else (
-        _coerce(path, "seed", globals_["seed"], int) if "seed" in globals_ else DEFAULT_SEED
-    )
-    default_m = _coerce(path, "m", globals_["m"], int) if "m" in globals_ else 1000
-    default_rounds = _coerce(path, "rounds", globals_["rounds"], int) if "rounds" in globals_ else 0
-    default_estimators = (
-        _parse_estimators(path, globals_["estimators"]) if "estimators" in globals_ else None
-    )
-
+        raise UsageError(f"{path}: config defines no [scenario] or [table] section")
+    if seed_override is not None:  # the config's seeds are left unread
+        for block in (globals_, *blocks):
+            block.entries.pop("seed", None)
+    seed = DEFAULT_SEED if seed_override is None else seed_override
+    # what a section that does not set a key gets: the global value, else this
+    defaults = {"seed": seed, "m": 1000, "rounds": 0, "estimators": None, "fold": False}
+    defaults = {key: _read(path, globals_.entries, key, value) for key, value in defaults.items()}
     groups = []
     for index, block in enumerate(blocks):
-        if block.kind == "table":
-            if "name" not in block.entries:
-                raise ConfigError(f"{path}:{block.line}: [table] needs a 'name' key")
-            name = block.entries["name"][0].strip().lower()
-            m = _coerce(path, "m", block.entries["m"], int) if "m" in block.entries else default_m
-            seed = (
-                _coerce(path, "seed", block.entries["seed"], int)
-                if "seed" in block.entries and seed_override is None
-                else default_seed
-            )
-            try:
-                specs = table_specs(name, seed=seed, m=m)
-            except ValueError as err:
-                raise ConfigError(f"{path}:{block.line}: {err}") from None
-            groups.append((name, specs))
-            continue
-
-        source = _scenario_source(path, block)
-        entries = block.entries
-        if "n" not in entries:
-            raise ConfigError(f"{path}:{block.line}: [scenario] needs a sample size 'n'")
-        fold = False
-        if "fold" in entries:
-            raw, lineno = entries["fold"]
-            if raw.lower() not in ("true", "false"):
-                raise ConfigError(f"{path}:{lineno}: key 'fold' needs true or false, got {raw!r}")
-            fold = raw.lower() == "true"
         try:
-            spec = ExperimentSpec(
-                source=source,
-                n=_coerce(path, "n", entries["n"], int),
-                m=_coerce(path, "m", entries["m"], int) if "m" in entries else default_m,
-                k=_coerce(path, "k", entries["k"], int) if "k" in entries else None,
-                estimators=(
-                    _parse_estimators(path, entries["estimators"])
-                    if "estimators" in entries
-                    else default_estimators
-                ),
-                seed=(
-                    _coerce(path, "seed", entries["seed"], int)
-                    if "seed" in entries and seed_override is None
-                    else default_seed
-                ),
-                rounds=(
-                    _coerce(path, "rounds", entries["rounds"], int)
-                    if "rounds" in entries
-                    else default_rounds
-                ),
-                fold_absolute=fold,
-            )
+            groups.append(_section(path, block, index, defaults))
         except ValueError as err:
-            raise ConfigError(f"{path}:{block.line}: {err}") from None
-        groups.append((f"scenario{index + 1}", [spec]))
+            raise UsageError(f"{path}:{block.line}: {err}") from None
     return groups
 
 
@@ -321,7 +289,7 @@ def _cmd_simulate(args) -> int:
         with open(args.config, "r", encoding="utf-8") as handle:
             text = handle.read()
     except (OSError, UnicodeDecodeError) as err:
-        raise ConfigError(f"cannot read config file {args.config}: {err}") from None
+        raise UsageError(f"cannot read config file {args.config}: {err}") from None
     groups = parse_config(text, args.config, seed_override=args.seed)
 
     all_rows = []
@@ -351,7 +319,7 @@ def _cmd_simulate(args) -> int:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:
             handle.write(payload)
     except OSError as err:
-        raise ConfigError(f"cannot write output file {args.out}: {err}") from None
+        raise UsageError(f"cannot write output file {args.out}: {err}") from None
     print(f"wrote {len(all_rows)} summary rows to {args.out}")
     return EXIT_OK
 
@@ -528,7 +496,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ConfigError) as err:
+    except UsageError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except DataError as err:

@@ -275,10 +275,7 @@ def gpd_sf(params: GpdParams, x):
 
 def gpd_cdf(params: GpdParams, x):
     """GPD distribution function, the complement of :func:`gpd_sf`."""
-    arr = _points(x, params.mu, "x")
-    t = 1.0 + (params.xi / params.sigma) * (arr - params.mu)
-    out = 1.0 - t ** (-1.0 / params.xi)
-    return _maybe_scalar(out, x)
+    return 1.0 - gpd_sf(params, x)
 
 
 def _gpd_quantile(params: GpdParams, p: np.ndarray) -> np.ndarray:
@@ -315,9 +312,7 @@ def pareto_sf(params: ParetoParams, z):
 
 def pareto_cdf(params: ParetoParams, z):
     """Pareto distribution function, the complement of :func:`pareto_sf`."""
-    arr = _points(z, params.mu, "z")
-    out = 1.0 - (arr / params.mu) ** (-params.alpha)
-    return _maybe_scalar(out, z)
+    return 1.0 - pareto_sf(params, z)
 
 
 def _pareto_quantile(params: ParetoParams, p: np.ndarray) -> np.ndarray:

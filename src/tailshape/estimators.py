@@ -339,24 +339,22 @@ def _pwm_rows(srt: np.ndarray, pos: PlottingPosition) -> tuple[np.ndarray, ...]:
     ``a0 * a1`` neither overflows nor underflows at extreme data scales.  The
     power of two is exact: a row scaled by 2^j, with its values still normal,
     gets the same ``xi_hat`` and 2^j times the ``sigma_hat``.  A row whose
-    maximum is subnormal is not scaled: its values carry fewer than 53 bits.
+    maximum is subnormal is scaled up as well, so it fits unless its
+    ``sigma_hat`` itself underflows to zero.
     """
     p = pos.positions(srt.shape[1])
     top = srt[:, -1]  # NaN sorts last
-    # 2^-e for a maximum in [2^(e-1), 2^e), exact even where it is subnormal;
-    # frexp gives e = 0 for a zero, NaN or infinite maximum, e < -1021 for a
-    # subnormal one
+    # a maximum in [2^(e-1), 2^e), subnormal ones included; frexp gives e = 0
+    # for a zero, NaN or infinite maximum
     e = np.frexp(top)[1]
-    e[e < -1021] = 0
-    inverse = np.ldexp(1.0, -e)
-    y = srt * inverse[:, None]
+    y = np.ldexp(srt, -e[:, None])
     with np.errstate(all="ignore"):
         a0 = _row_mean(y)
         a1 = _row_mean(np.multiply(y, 1.0 - p, out=y))
         denom = a0 - 2.0 * a1
         xi, sigma = 2.0 - a0 / denom, 2.0 * a0 * a1 / denom
         singular = denom <= 0
-        sigma, a0, a1, denom = (v / inverse for v in (sigma, a0, a1, denom))
+        sigma, a0, a1, denom = (np.ldexp(v, e) for v in (sigma, a0, a1, denom))
     reason = _first_reason(
         *_excess_checks(srt[:, 0], top),
         (singular, Reason.pwm_singular),

@@ -201,6 +201,18 @@ class TestPwmExtremeScales:
         assert fit.xi_hat == small.xi_hat
         assert fit.sigma_hat == math.ldexp(small.sigma_hat, 1000)
 
+    @pytest.mark.parametrize(
+        "values", [[0.0, 1e-310, 2e-310], [0.0, 1e-310, 0.0]], ids=["tiny", "scan range overflows"]
+    )
+    def test_subnormal_maximum_fits(self, values):
+        # a row whose maximum is subnormal was left unscaled, so a0 * a1
+        # underflowed: "sigma_hat must be positive when present, got 0.0"
+        tiny = np.array(values)
+        fit = estimate_pwm(tiny)
+        normal = estimate_pwm(np.ldexp(tiny, 1000))
+        assert fit.xi_hat == normal.xi_hat
+        assert fit.sigma_hat == math.ldexp(normal.sigma_hat, -1000) > 0
+
 
 class TestZhangStephens:
     def test_consistency(self):
@@ -857,14 +869,13 @@ FAILURES = [
      "Zhang-Stephens is undefined for an all-zero sample"),
     ("zeros", estimate_gpd_mle, _ZEROS, EstimationError,
      "GPD MLE is undefined for an all-zero sample"),
-    ("mean underflows", estimate_pwm, _MEAN_UNDERFLOWS, PwmSingularityError,
-     "probability-weighted-moment denominator a0 - 2*a1 = 0.0 is not positive"),
+    # the scale of this sample is below the smallest subnormal
+    ("mean underflows", estimate_pwm, _MEAN_UNDERFLOWS, ValueError,
+     "sigma_hat must be positive when present, got 0.0"),
     ("mean underflows", estimate_zhang_stephens, _MEAN_UNDERFLOWS, ValueError,
      "xi_hat must be finite, got nan"),
     ("mean underflows", estimate_gpd_mle, _MEAN_UNDERFLOWS, EstimationError,
      "GPD MLE is undefined for a sample whose mean underflows to zero"),
-    ("scan range overflows", estimate_pwm, _SCAN_RANGE_OVERFLOWS, ValueError,
-     "sigma_hat must be positive when present, got 0.0"),
     ("scan range overflows", estimate_zhang_stephens, _SCAN_RANGE_OVERFLOWS, ValueError,
      "xi_hat must be finite, got nan"),
     ("scan range overflows", estimate_gpd_mle, _SCAN_RANGE_OVERFLOWS, EstimationError,
@@ -925,9 +936,9 @@ class TestFailureMessages:
             ([-math.inf, 1.0], ["non_finite"] * 4),
             (_NEGATIVE, ["nonpositive", "negative", "negative", "negative"]),
             (_ZEROS, ["nonpositive", "pwm_singular", "all_zero", "all_zero"]),
-            (_MEAN_UNDERFLOWS, ["nonpositive", "pwm_singular", "invalid_estimate", "mean_underflow"]),
-            (_SCAN_RANGE_OVERFLOWS,
-             ["nonpositive", "invalid_estimate", "invalid_estimate", "no_scan_range"]),
+            (_MEAN_UNDERFLOWS,
+             ["nonpositive", "invalid_estimate", "invalid_estimate", "mean_underflow"]),
+            (_SCAN_RANGE_OVERFLOWS, ["nonpositive", "ok", "invalid_estimate", "no_scan_range"]),
             (_BEYOND_308_DECADES, ["invalid_estimate", "ok", "invalid_estimate", "not_converged"]),
             # PWM scales the row by the power of two of its maximum, so it fits
             ([1.7e308, 1.7e308, 1.0], ["ok", "ok", "invalid_estimate", "invalid_estimate"]),

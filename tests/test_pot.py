@@ -327,18 +327,17 @@ class TestFitAll:
                     EstimatorId.TRANSFORMED_PWM: "need at least 2 observations, got 1",
                 },
             ),
-            (  # 1e4 / mean(excesses) overflows; the initial fits are not finite
+            (  # 1e4 / mean(excesses) overflows; Zhang-Stephens is not finite
                 [0.0, 1e-310, 2e-310], 0.0, [1e-310, 2e-310],
                 {
                     EstimatorId.ZHANG_STEPHENS: "xi_hat must be finite, got nan",
-                    EstimatorId.PWM: "sigma_hat must be positive when present, got 0.0",
                     EstimatorId.GPD_MLE: "GPD MLE scan range 1e4/mean(x) overflows at "
                     "mean(x) = 1.49999999999997e-310",
                     EstimatorId.PARETO_ML: "Pareto ML requires strictly positive observations",
                     EstimatorId.TRANSFORMED_ZS: "initial Zhang-Stephens fit failed: "
                     "xi_hat must be finite, got nan",
-                    EstimatorId.TRANSFORMED_PWM: "initial PWM fit failed: "
-                    "sigma_hat must be positive when present, got 0.0",
+                    EstimatorId.TRANSFORMED_PWM: "mu_hat must be a positive real for the "
+                    "three-parameter form, got 0.0",
                 },
             ),
         ],
