@@ -284,6 +284,14 @@ def read_data_file(path: str) -> np.ndarray:
 # Commands
 # ---------------------------------------------------------------------------
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise UsageError(f"cannot write output file {path}: {err}") from None
+
+
 def _cmd_simulate(args) -> int:
     try:
         with open(args.config, "r", encoding="utf-8") as handle:
@@ -291,9 +299,9 @@ def _cmd_simulate(args) -> int:
     except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config file {args.config}: {err}") from None
     groups = parse_config(text, args.config, seed_override=args.seed)
+    _write(args.out, "")  # so that an output that cannot be written fails before the run
 
     all_rows = []
-    columns = None
     # one process pool runs every group's scenarios
     done = iter(run_experiments([spec for _, specs in groups for spec in specs], args.threads))
     for label, specs in groups:
@@ -310,16 +318,10 @@ def _cmd_simulate(args) -> int:
                         file=sys.stderr,
                     )
         doc = summaries_document(results, name=label)
-        columns = doc.columns
         all_rows.extend(doc.rows)
 
-    combined = TableDocument("simulation", columns, all_rows)
-    payload = combined.to_csv() if args.format == "csv" else combined.to_json()
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(payload)
-    except OSError as err:
-        raise UsageError(f"cannot write output file {args.out}: {err}") from None
+    combined = TableDocument("simulation", doc.columns, all_rows)  # as in every group
+    _write(args.out, combined.to_csv() if args.format == "csv" else combined.to_json())
     print(f"wrote {len(all_rows)} summary rows to {args.out}")
     return EXIT_OK
 

@@ -5,7 +5,8 @@ Five estimators are provided:
 * :func:`estimate_pareto_ml` - closed-form maximum likelihood for Pareto
   Type I samples: ``mu_hat = min(z)`` and ``xi_hat = mean(log(z / mu_hat))``.
 * :func:`estimate_pwm` - probability-weighted moments for the zero-location
-  GPD, using plotting positions ``(j - offset)/n`` on the order statistics.
+  GPD, using the plotting positions ``(j - 0.35)/n`` of Hosking & Wallis
+  (1987) on the order statistics.
 * :func:`estimate_zhang_stephens` - the Zhang-Stephens empirical-Bayes fit of
   the zero-location GPD, a likelihood-weighted average over a data-driven grid
   of ``theta = xi/sigma`` values; always yields a finite estimate.
@@ -21,13 +22,15 @@ Each estimator has one numerical implementation, a private row kernel that
 fits a 2-D array of equal-length samples, one sample per row, and returns
 each row's :class:`Reason` next to its estimates: ``ok``, or why the row has
 no estimate.  Every failure condition of an estimator is written once, in its
-kernel.  A kernel returns ``(xi_hat, scale, reason, ...)`` per row (Hill's
-``(xi_hat, reason)``).  One sample is fitted as a stack of one row, and one
-function turns that row into a :class:`FitResult` or into the exception
-class and message of its reason, from one message table: the public
-functions above raise it, the one-sample :func:`tailshape.pot.fit_all`
-returns the message.  :func:`tailshape.pot.fit_all` and the replication
-engine call the kernels on whole stacks of samples and keep the reasons.
+kernel.  A kernel returns ``(xi_hat, scale, reason, ...)`` per row.  One
+table, ``_ROWS``, states each estimator's name in messages, the rows its
+kernel fits, its kernel, and its output and diagnostic names.  One sample is
+fitted as a stack of one row, and one function turns that row into a
+:class:`FitResult` or into the exception class and message of its reason,
+from one message table: the public functions above raise it, the one-sample
+:func:`tailshape.pot.fit_all` returns the message.  The replication engine
+and :func:`tailshape.pot.fit_all` call the kernels on whole stacks of
+samples and keep the reasons.
 The ``log1p`` values of a profile likelihood (the Zhang-Stephens grid and
 the GPD ML scan) are evaluated in blocks of at most
 :data:`ELEMENT_BUDGET` elements, over (row, grid point) pairs, written into
@@ -61,7 +64,6 @@ __all__ = [
     "EstimationError",
     "PwmSingularityError",
     "FitResult",
-    "PlottingPosition",
     "estimate_pareto_ml",
     "estimate_pwm",
     "estimate_zhang_stephens",
@@ -150,28 +152,6 @@ _INITIAL = {
     EstimatorId.TRANSFORMED_ZS: EstimatorId.ZHANG_STEPHENS,
     EstimatorId.TRANSFORMED_PWM: EstimatorId.PWM,
 }
-# estimator -> its name in messages (a transformed estimator's is that of its
-# initial one), the names of its kernel's outputs after (xi_hat, scale,
-# reason), and its diagnostics; the scale is sigma_hat for the GPD fits,
-# mu_hat for the rest
-_TRANSFORMED = (
-    ("clamp_count", "refresh_rounds", "initial_xi"),
-    ("clamp_count", "alpha_transformed", "initial_xi", "refresh_rounds"),
-)
-_ROWS = {
-    EstimatorId.PARETO_ML: ("Pareto ML", (), ()),
-    EstimatorId.PWM: ("PWM", ("a0", "a1", "denom"), ("a0", "a1")),
-    EstimatorId.ZHANG_STEPHENS: ("Zhang-Stephens", ("theta", "grid_size"), ("theta", "grid_size")),
-    EstimatorId.GPD_MLE: (
-        "GPD MLE",
-        ("theta", "optimizer_iterations", "mean"),
-        ("converged", "optimizer_iterations", "theta", "profile_loglik"),
-    ),
-    EstimatorId.HILL: ("Hill estimator", (), ("k",)),
-    EstimatorId.TRANSFORMED_ZS: ("Zhang-Stephens", *_TRANSFORMED),
-    EstimatorId.TRANSFORMED_PWM: ("PWM", *_TRANSFORMED),
-}
-_GPD_FITS = (EstimatorId.PWM, EstimatorId.ZHANG_STEPHENS, EstimatorId.GPD_MLE)
 
 
 def _first_reason(*checks) -> np.ndarray:
@@ -197,20 +177,6 @@ def _excess_checks(low: np.ndarray, high: np.ndarray) -> tuple:
 def _invalid(xi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Rows whose estimates FitResult would reject."""
     return ~(np.isfinite(xi) & (sigma > 0) & (sigma < np.inf))
-
-
-@dataclass(frozen=True)
-class PlottingPosition:
-    """Empirical-CDF ordinate ``(j - offset)/n`` for the j-th order statistic."""
-
-    offset: float = 0.35
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.offset) and 0.0 <= self.offset < 1.0):
-            raise ValueError(f"plotting offset must lie in [0, 1), got {self.offset}")
-
-    def positions(self, n: int) -> np.ndarray:
-        return (np.arange(1, n + 1) - self.offset) / n
 
 
 @dataclass
@@ -253,7 +219,7 @@ def _outcome(estimator: EstimatorId, out: tuple, sample: np.ndarray, **values):
     :func:`tailshape.pot.fit_all` keeps its message.
     """
     xi, scale, reason, *more = [v.item(0) for v in out]
-    name, outputs, diagnostics = _ROWS[estimator]
+    name, rows, _, outputs, diagnostics = _ROWS[estimator]
     row = dict(zip(outputs, more), **values)
     if reason in _ERRORS:
         error, message = _ERRORS[reason]
@@ -264,7 +230,7 @@ def _outcome(estimator: EstimatorId, out: tuple, sample: np.ndarray, **values):
     row["alpha_transformed"] = 1.0 / xi if xi > 0 else math.inf
     if estimator is EstimatorId.GPD_MLE:
         row["profile_loglik"] = _profile_loglik(row["theta"], sample)[0][0]
-    sigma, mu = (scale, None) if estimator in _GPD_FITS else (None, scale)
+    sigma, mu = (None, scale) if rows == "sample" else (scale, None)
     try:
         return FitResult(xi, sigma, mu, estimator, {k: float(row[k]) for k in diagnostics})
     except ValueError as err:  # an invalid estimate
@@ -288,14 +254,21 @@ def _sample(values) -> np.ndarray:
     return arr
 
 
+def _fit_one(estimator: EstimatorId, values) -> FitResult:
+    """The fit of one sample by the kernel of ``estimator``, or raise its failure."""
+    x = _sample(values)
+    _, rows, kernel, *_ = _ROWS[estimator]
+    row = np.sort(x) if rows == "sorted" else x
+    return _fitted(_outcome(estimator, kernel(row[None, :]), x))
+
+
 def estimate_pareto_ml(z) -> FitResult:
     """Closed-form Pareto Type I maximum likelihood fit.
 
     Requires strictly positive observations.  ``xi_hat`` is non-negative and
     zero exactly when all observations are equal.
     """
-    x = _sample(z)
-    return _fitted(_outcome(EstimatorId.PARETO_ML, _pareto_ml_rows(x[None, :]), x))
+    return _fit_one(EstimatorId.PARETO_ML, z)
 
 
 def _pareto_ml_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -313,11 +286,12 @@ def _pareto_ml_rows(z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return xi, mu, reason
 
 
-def estimate_pwm(excesses, pos: PlottingPosition = PlottingPosition()) -> FitResult:
+def estimate_pwm(excesses) -> FitResult:
     """Probability-weighted-moment fit of the zero-location GPD.
 
-    With sorted excesses x_(1) <= ... <= x_(n) and p_j the plotting positions,
-    a0 is the sample mean and a1 = mean((1 - p_j) * x_(j)); then
+    With sorted excesses x_(1) <= ... <= x_(n) and the plotting positions
+    p_j = (j - 0.35)/n of Hosking & Wallis (1987), a0 is the sample mean and
+    a1 = mean((1 - p_j) * x_(j)); then
 
         xi_hat = 2 - a0 / (a0 - 2*a1),  sigma_hat = 2*a0*a1 / (a0 - 2*a1).
 
@@ -325,14 +299,14 @@ def estimate_pwm(excesses, pos: PlottingPosition = PlottingPosition()) -> FitRes
     sample, or one whose moments underflow to zero); callers decide how to
     account for such failures.
     """
-    x = _sample(excesses)
-    return _fitted(_outcome(EstimatorId.PWM, _pwm_rows(np.sort(x)[None, :], pos), x))
+    return _fit_one(EstimatorId.PWM, excesses)
 
 
-def _pwm_rows(srt: np.ndarray, pos: PlottingPosition) -> tuple[np.ndarray, ...]:
+def _pwm_rows(srt: np.ndarray) -> tuple[np.ndarray, ...]:
     """Row kernel of :func:`estimate_pwm` on sorted rows of at least two
-    values: ``(xi_hat, sigma_hat, reason, a0, a1, a0 - 2*a1)`` per row.
-    Rows that fail get meaningless shape and scale values.
+    values: ``(xi_hat, sigma_hat, reason, a0, a1, a0 - 2*a1)`` per row, with
+    the plotting positions ``(j - 0.35)/n``.  Rows that fail get meaningless
+    shape and scale values.
 
     Each row is divided by the power of two of its maximum before the moments
     are formed, and the scale-carrying outputs are multiplied back, so that
@@ -342,7 +316,7 @@ def _pwm_rows(srt: np.ndarray, pos: PlottingPosition) -> tuple[np.ndarray, ...]:
     maximum is subnormal is scaled up as well, so it fits unless its
     ``sigma_hat`` itself underflows to zero.
     """
-    p = pos.positions(srt.shape[1])
+    p = (np.arange(1, srt.shape[1] + 1) - 0.35) / srt.shape[1]
     top = srt[:, -1]  # NaN sorts last
     # a maximum in [2^(e-1), 2^e), subnormal ones included; frexp gives e = 0
     # for a zero, NaN or infinite maximum
@@ -436,9 +410,7 @@ def estimate_zhang_stephens(excesses) -> FitResult:
     theta * x overflows, which takes x* below about 1e-308 or x_(n) / x*
     above about 1e308; the fit then fails.
     """
-    x = _sample(excesses)
-    fits = _zhang_stephens_rows(np.sort(x)[None, :])
-    return _fitted(_outcome(EstimatorId.ZHANG_STEPHENS, fits, x))
+    return _fit_one(EstimatorId.ZHANG_STEPHENS, excesses)
 
 
 def _zhang_stephens_rows(y: np.ndarray) -> tuple:
@@ -531,8 +503,7 @@ def estimate_gpd_mle(excesses) -> FitResult:
     fit (divergence, a profile already falling at the lower bracket end, or
     one still rising at the upper end).
     """
-    x = _sample(excesses)
-    return _fitted(_outcome(EstimatorId.GPD_MLE, _gpd_mle_rows(x[None, :]), x))
+    return _fit_one(EstimatorId.GPD_MLE, excesses)
 
 
 def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -640,19 +611,20 @@ def estimate_hill(x, k: int) -> FitResult:
     which must therefore be positive.  ``mu_hat`` reports the threshold.
     """
     arr = _sample(x)
-    threshold, _, _, top, low = _reduce_pot(arr[None, :], k)
-    xi, reason = _hill_rows(top, threshold, low)
-    return _fitted(_outcome(EstimatorId.HILL, (xi, threshold, reason), arr, k=k))
+    threshold, _, _, top = _reduce_pot(arr[None, :], k)
+    return _fitted(_outcome(EstimatorId.HILL, _hill_rows(top, threshold), arr, k=k))
 
 
 def _reduce_pot(xs: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     """Each row of samples ``xs`` (folded already, if asked) reduced to its
-    threshold X_(n-k), its excesses over it, their count, its k largest
-    values, sorted, and its minimum.  Row i of the (rows, k) excesses holds
-    its count[i] excesses first, in sample order: at most k values exceed
-    X_(n-k), fewer when values tie with it.  One partition of a row serves
-    the threshold and the top k, which, sorted, sum in the same order as in a
-    full sort of the row."""
+    threshold X_(n-k), its excesses over it, their count, and its k largest
+    values, sorted.  Row i of the (rows, k) excesses holds its count[i]
+    excesses first, in sample order: at most k values exceed X_(n-k), fewer
+    when values tie with it.  A row with a NaN or an infinite value gets NaN
+    as its first excess and its largest value, so that every fit of it fails
+    as non-finite, Hill's too: a NaN or -inf never exceeds the threshold.
+    One partition of a row serves the threshold and the top k, which, sorted,
+    sum in the same order as in a full sort of the row."""
     n = xs.shape[1]
     if not _is_int(k) or not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n = {n}, got {k!r}")
@@ -664,26 +636,55 @@ def _reduce_pot(xs: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
         above = x[x > threshold[row]]
         count[row] = above.size
         np.subtract(above, threshold[row], out=exc[row, : above.size])
-    return threshold, exc, count, top, xs.min(axis=1)
+    # a NaN makes the minimum NaN, a -inf is it, a +inf is the largest value
+    non_finite = ~(np.isfinite(xs.min(axis=1)) & np.isfinite(top[:, -1]))
+    exc[non_finite, 0] = top[non_finite, -1] = np.nan
+    return threshold, exc, count, top
 
 
-def _hill_rows(
-    top: np.ndarray, threshold: np.ndarray, low: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row kernel of :func:`estimate_hill`: the mean log-ratio of each row of
-    sorted top values to its threshold, and each row's reason.  ``low`` holds
-    each sample's minimum, which shows a NaN or -inf below the threshold."""
+def _hill_rows(top: np.ndarray, threshold: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row kernel of :func:`estimate_hill`: ``(xi_hat, threshold, reason)``
+    per row, the mean log-ratio of each row of sorted top values to its
+    threshold.  The largest top value of a sample with a NaN or an infinite
+    value is NaN."""
     with np.errstate(all="ignore"):
         ratio = top / threshold[:, None]
         xi = _row_mean(np.log(ratio, out=ratio))
     reason = _first_reason(
-        (~(np.isfinite(low) & np.isfinite(top[:, -1])), Reason.non_finite),
+        (~np.isfinite(top[:, -1]), Reason.non_finite),
         (threshold <= 0, Reason.threshold_nonpositive),
         (~np.isfinite(xi), Reason.invalid_estimate),
     )
-    return xi, reason
+    return xi, threshold, reason
 
 
 def _is_int(value) -> bool:
     """An integer, but not a bool (which Python counts as one)."""
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# estimator -> (its name in messages, a transformed estimator's being its
+# initial one's; the rows its kernel fits, "sample", "excesses" in sample
+# order or "sorted" excesses, a fit of excesses reporting sigma_hat and the
+# others mu_hat; its row kernel, none for Hill (it needs k) and for the
+# transformed estimators (they need an initial fit); the names of the
+# kernel's outputs after (xi_hat, scale, reason); its diagnostics)
+_TRANSFORMED = (
+    ("clamp_count", "refresh_rounds", "initial_xi"),
+    ("clamp_count", "alpha_transformed", "initial_xi", "refresh_rounds"),
+)
+_ROWS = {
+    EstimatorId.PARETO_ML: ("Pareto ML", "sample", _pareto_ml_rows, (), ()),
+    EstimatorId.PWM: ("PWM", "sorted", _pwm_rows, ("a0", "a1", "denom"), ("a0", "a1")),
+    EstimatorId.ZHANG_STEPHENS: (
+        "Zhang-Stephens", "sorted", _zhang_stephens_rows, ("theta", "grid_size"),
+        ("theta", "grid_size"),
+    ),
+    EstimatorId.GPD_MLE: (
+        "GPD MLE", "excesses", _gpd_mle_rows, ("theta", "optimizer_iterations", "mean"),
+        ("converged", "optimizer_iterations", "theta", "profile_loglik"),
+    ),
+    EstimatorId.HILL: ("Hill estimator", "sample", None, (), ("k",)),
+    EstimatorId.TRANSFORMED_ZS: ("Zhang-Stephens", "sample", None, *_TRANSFORMED),
+    EstimatorId.TRANSFORMED_PWM: ("PWM", "sample", None, *_TRANSFORMED),
+}

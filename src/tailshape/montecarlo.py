@@ -68,7 +68,7 @@ from .distributions import (
     sample_symmetric_stable,
 )
 from .estimators import ELEMENT_BUDGET, _OK, EstimatorId, Reason, _hill_rows, _is_int, _reduce_pot
-from .pot import DEFAULT_POT_ESTIMATORS, fit_all
+from .pot import DEFAULT_POT_ESTIMATORS, _check_estimators, fit_all
 
 __all__ = [
     "DEFAULT_SEED",
@@ -241,6 +241,7 @@ class ExperimentSpec:
             raise ValueError(f"k must satisfy 1 <= k < n = {self.n}, got {self.k!r}")
         if self.estimators is not None and len(self.estimators) == 0:
             raise ValueError("estimator set must not be empty")
+        _check_estimators(self.estimator_set)
         if not _is_int(self.seed) or not 0 <= self.seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {self.seed!r}")
         if not _is_int(self.rounds) or self.rounds < 0:
@@ -410,14 +411,14 @@ def _draw_pot(spec: ExperimentSpec, streams: _StreamBlock):
         if spec.fold_absolute:
             np.abs(xs, out=xs)
         parts.append(_reduce_pot(xs, spec.k))
-    threshold, excesses, count, top, low = (np.concatenate(part) for part in zip(*parts))
+    threshold, excesses, count, top = (np.concatenate(part) for part in zip(*parts))
 
     def stack(rows, width):
         whole = width == spec.k and rows.size == len(count)
         exc = excesses if whole else excesses[rows, :width]
         return exc, exc.min(axis=1), exc
 
-    hill, reason = _hill_rows(top, threshold, low)
+    hill, _, reason = _hill_rows(top, threshold)
     reason[count < 2] = Reason.too_few
     return count, stack, (np.where(reason == _OK, hill, np.nan), reason)
 
@@ -573,13 +574,14 @@ def table_specs(table: str, seed: int = DEFAULT_SEED, m: int = 1000) -> list[Exp
 
     Cell seeds derive from ``seed`` plus the table's seed offset and the cell
     index, so every cell owns an independent stream family while remaining a
-    pure function of the base seed.
+    pure function of the base seed.  The last cell's seed bounds ``seed``.
     """
     layout = TABLE_LAYOUTS.get(table)
     if layout is None:
         raise ValueError(f"unknown table {table!r}; expected table1 .. table8")
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be an integer in [0, 2**64 - 1], got {seed!r}")
+    top = 2**64 - 1 - layout.seed_offset - (len(layout.cells) - 1)
+    if not _is_int(seed) or not 0 <= seed <= top:
+        raise ValueError(f"seed must be an integer in [0, {top}] for {table}, got {seed!r}")
     # the symmetric POT sources are folded by absolute value, so the threshold
     # sits at the 90th percentile of |X|; this is what the shipped reference
     # tables assume

@@ -17,9 +17,12 @@ There is one fit path and one failure path.  The row kernel of an estimator
 fits a stack of rows and names each failed row's
 :class:`~tailshape.estimators.Reason`; one sample is fitted as a stack of one
 row, whose fit or failure message comes from the one mapping of a row to a
-:class:`~tailshape.estimators.FitResult` or a message.  One reduction of
-samples to their threshold, excesses, top k and minimum serves
-:func:`pot_estimate` and the replication engine.
+:class:`~tailshape.estimators.FitResult` or a message.  Which kernel an
+estimator runs, and on which rows, is looked up in the one estimator table
+of :mod:`tailshape.estimators`.  One reduction of samples to their
+threshold, excesses and top k serves :func:`pot_estimate` and the
+replication engine; a sample with a NaN or an infinite value fails every
+estimator.
 """
 
 from __future__ import annotations
@@ -29,21 +32,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .estimators import (
-    _GPD_FITS,
     _INITIAL,
     _OK,
+    _ROWS,
     EstimatorId,
     FitResult,
-    PlottingPosition,
     Reason,
-    _gpd_mle_rows,
     _hill_rows,
     _is_int,
     _outcome,
-    _pareto_ml_rows,
-    _pwm_rows,
     _reduce_pot,
-    _zhang_stephens_rows,
 )
 from .transform import _iterate_transform_rows, _transform_row_checks
 
@@ -65,6 +63,13 @@ DEFAULT_POT_ESTIMATORS = (
 )
 
 
+def _check_estimators(estimators) -> None:
+    """Raise ValueError naming each entry that is not an EstimatorId."""
+    unknown = [e for e in estimators if not isinstance(e, EstimatorId)]
+    if unknown:
+        raise ValueError(f"unknown estimators {unknown!r}; expected EstimatorId members")
+
+
 @dataclass(frozen=True)
 class PotConfig:
     """Number of exceedances k and the estimators to run on them."""
@@ -78,6 +83,7 @@ class PotConfig:
             raise ValueError(f"k must be a positive integer, got {self.k!r}")
         if not self.estimators:
             raise ValueError("estimator set must not be empty")
+        _check_estimators(self.estimators)
 
 
 @dataclass
@@ -108,28 +114,20 @@ def excesses(x, threshold: float) -> np.ndarray:
     return exc
 
 
-_SORTED = {EstimatorId.ZHANG_STEPHENS, EstimatorId.PWM}
-_POSITIONS = PlottingPosition()
-
-
-def _kernel_fits(estimator: EstimatorId, x, support, exc, srt, checked, rounds: int, fits):
-    """The outputs ``(xi, scale, reason, ...)`` of the row kernel of
-    ``estimator`` on a stack, with ``srt`` the sorted excesses.  A transformed
-    estimator transforms ``x`` with its initial fit in ``fits``, ``checked``
-    being the transform's row checks.  Rows of fewer than 2 values fail as too
-    few (a transformed estimator's after its initial fit and checks)."""
-    if estimator in _INITIAL:
-        return _iterate_transform_rows(x, support, fits[_INITIAL[estimator]], rounds, checked)
-    if (x if estimator is EstimatorId.PARETO_ML else exc).shape[1] < 2:
-        nan = np.full(len(x), np.nan)
-        return nan, nan, np.full(len(x), Reason.too_few)
-    if estimator is EstimatorId.PARETO_ML:
-        return _pareto_ml_rows(x)
-    if estimator is EstimatorId.GPD_MLE:
-        return _gpd_mle_rows(exc)
-    if estimator is EstimatorId.PWM:
-        return _pwm_rows(srt, _POSITIONS)
-    return _zhang_stephens_rows(srt)
+def _kernel_fits(e: EstimatorId, rows: dict, support, checked, rounds: int, fits):
+    """The outputs ``(xi, scale, reason, ...)`` of the row kernel of estimator
+    ``e`` on ``rows[kind]``, the stack of the kind of rows it fits.  A
+    transformed estimator transforms the sample with its initial fit in
+    ``fits``, ``checked`` being the transform's row checks.  Rows of fewer than
+    2 values fail as too few (a transformed estimator's after its initial fit
+    and checks)."""
+    if e in _INITIAL:
+        return _iterate_transform_rows(rows["sample"], support, fits[_INITIAL[e]], rounds, checked)
+    _, kind, kernel, *_ = _ROWS[e]
+    if rows[kind].shape[1] < 2:
+        nan = np.full(len(support), np.nan)
+        return nan, nan, np.full(len(support), Reason.too_few)
+    return kernel(rows[kind])
 
 
 def fit_all(
@@ -155,6 +153,7 @@ def fit_all(
     row of a stack gets exactly the estimate of the one-sample call on it,
     whose failure message is that of the row's reason.
     """
+    _check_estimators(wanted)
     if EstimatorId.HILL in wanted:
         raise ValueError("the Hill estimator needs the raw sample and k; use pot_estimate")
     transformed = set(wanted) & _INITIAL.keys()
@@ -164,20 +163,21 @@ def fit_all(
     xs, supports, excs = (np.asarray(a, dtype=float) for a in (x, support, exc))
     if single:
         xs, supports, excs = xs[None, :], supports.reshape(1), excs.reshape(1, -1)
-    # Zhang-Stephens and PWM fit the sorted excesses
-    srt = np.sort(excs, axis=1) if _SORTED & {_INITIAL.get(e, e) for e in wanted} else None
+    rows = {"sample": xs, "excesses": excs}
+    if any(_ROWS[_INITIAL.get(e, e)][1] == "sorted" for e in wanted):  # one sort for all
+        rows["sorted"] = np.sort(excs, axis=1)
     # the transformed estimators share their row checks
     checked = _transform_row_checks(xs, supports) if transformed else None
     fits = {}
     for estimator in dict.fromkeys(wanted):
         for e in (_INITIAL.get(estimator, estimator), estimator):
             if e not in fits:
-                fits[e] = _kernel_fits(e, xs, supports, excs, srt, checked, rounds, fits)
+                fits[e] = _kernel_fits(e, rows, supports, checked, rounds, fits)
     if not single:
         return {e: (np.where(fits[e][2] == _OK, fits[e][0], np.nan), fits[e][2]) for e in wanted}
     outcomes = {}
     for e, out in fits.items():  # an initial fit before its transformed one
-        sample = excs[0] if e in _GPD_FITS else xs[0]
+        sample = xs[0] if _ROWS[e][1] == "sample" else excs[0]
         outcome = _outcome(e, out, sample, support=support, initial=outcomes.get(_INITIAL.get(e)))
         outcomes[e] = outcome if isinstance(outcome, FitResult) else outcome[1]
     return {e: outcomes[e] for e in wanted}
@@ -194,22 +194,17 @@ def pot_estimate(x, cfg: PotConfig) -> PotResult:
     arr = np.asarray(x, dtype=float).ravel()
     if cfg.fold_absolute:
         arr = np.abs(arr)
-    threshold, exc, count, top, low = _reduce_pot(arr[None, :], cfg.k)
+    threshold, exc, count, top = _reduce_pot(arr[None, :], cfg.k)
     _check_exceedances(int(count[0]), float(threshold[0]))
     exc = exc[0, : count[0]]
     result = PotResult(threshold=float(threshold[0]), excess_count=int(count[0]))
 
-    wanted = tuple(dict.fromkeys(cfg.estimators))
-    plan = [e for e in wanted if e is not EstimatorId.HILL]
+    plan = [e for e in cfg.estimators if e is not EstimatorId.HILL]
     outcomes = fit_all(exc, float(exc.min()), exc, plan)
-    if EstimatorId.HILL in wanted:
-        xi, reason = _hill_rows(top, threshold, low)
-        hill = _outcome(EstimatorId.HILL, (xi, threshold, reason), arr, k=cfg.k)
+    if EstimatorId.HILL in cfg.estimators:
+        hill = _outcome(EstimatorId.HILL, _hill_rows(top, threshold), arr, k=cfg.k)
         outcomes[EstimatorId.HILL] = hill if isinstance(hill, FitResult) else hill[1]
-    for estimator in wanted:
+    for estimator in cfg.estimators:  # an estimator named twice is fitted once
         outcome = outcomes[estimator]
-        if isinstance(outcome, str):
-            result.failures[estimator] = outcome
-        else:
-            result.fits[estimator] = outcome
+        (result.failures if isinstance(outcome, str) else result.fits)[estimator] = outcome
     return result

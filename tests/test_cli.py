@@ -470,6 +470,17 @@ class TestSimulate:
         )
         assert code == 1
 
+    def test_unwritable_output_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
+        def run_experiments(*args, **kwargs):
+            raise AssertionError("the replications ran before the output was opened")
+
+        monkeypatch.setattr("tailshape.cli.run_experiments", run_experiments)
+        config = write(tmp_path / "run.cfg", SCENARIO_CONFIG)
+        out = str(tmp_path / "missing" / "x.csv")
+        code, _, err = run(capsys, "simulate", "--config", config, "--out", out)
+        assert code == 1
+        assert f"cannot write output file {out}" in err
+
     def test_unknown_table_name(self, capsys, tmp_path):
         config = write(tmp_path / "bad.cfg", "[table]\nname = table19\n")
         code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path / "x"))
@@ -500,7 +511,7 @@ class TestSimulate:
         table_line = text.splitlines().index("[table]") + 1
         code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path / "x"))
         assert code == 1
-        assert f"{config}:{table_line}:" in err and "seed" in err
+        assert f"{config}:{table_line}:" in err and f"got {seed}" in err
         assert ran == []
 
     def test_seed_override_changes_results(self, capsys, tmp_path):

@@ -15,7 +15,6 @@ from tailshape import (
     FitResult,
     GpdParams,
     ParetoParams,
-    PlottingPosition,
     PwmSingularityError,
     Reason,
     RngStream,
@@ -29,7 +28,7 @@ from tailshape import (
     sample_student_t,
     sample_symmetric_stable,
 )
-from tailshape import fit_all, pot, run_experiments, table_specs
+from tailshape import estimators, fit_all, run_experiments, table_specs
 from tailshape.estimators import (
     _OK,
     ELEMENT_BUDGET,
@@ -55,13 +54,6 @@ class TestFitResult:
             FitResult(math.nan, None, None, EstimatorId.PWM)
         with pytest.raises(ValueError):
             FitResult(0.5, -1.0, None, EstimatorId.PWM)
-
-    def test_plotting_position_validation(self):
-        with pytest.raises(ValueError):
-            PlottingPosition(1.0)
-        with pytest.raises(ValueError):
-            PlottingPosition(-0.1)
-        assert np.allclose(PlottingPosition(0.35).positions(2), [0.325, 0.825])
 
 
 class TestParetoMl:
@@ -120,12 +112,6 @@ class TestPwm:
         assert scaled.xi_hat == pytest.approx(base.xi_hat, abs=1e-9)
         assert scaled.sigma_hat == pytest.approx(7.0 * base.sigma_hat, rel=1e-9)
 
-    def test_custom_plotting_position(self):
-        z = gpd_excesses(1.0, 0.3, 400, 25)
-        a = estimate_pwm(z, PlottingPosition(0.35))
-        b = estimate_pwm(z, PlottingPosition(0.0))
-        assert a.xi_hat != b.xi_hat
-
 
 _TINY = np.finfo(float).tiny
 
@@ -148,7 +134,7 @@ def _assert_power_of_two_equivariant(x, shifts):
         assert fit.xi_hat == base.xi_hat
         assert fit.sigma_hat == math.ldexp(base.sigma_hat, j)
     stack = np.sort(np.ldexp(x, np.array(shifts)[:, None]), axis=1)
-    xi, sigma, reason, *_ = _pwm_rows(stack, PlottingPosition())
+    xi, sigma, reason, *_ = _pwm_rows(stack)
     assert (reason == Reason.ok).all()
     assert (xi == base.xi_hat).all()
     assert (sigma == np.ldexp(base.sigma_hat, shifts)).all()
@@ -600,7 +586,8 @@ class TestGpdMleRowKernel:
             stacks.append(exc.copy())
             return _gpd_mle_rows(exc)
 
-        monkeypatch.setattr(pot, "_gpd_mle_rows", recording)
+        name, rows, _, *names = estimators._ROWS[EstimatorId.GPD_MLE]
+        monkeypatch.setitem(estimators._ROWS, EstimatorId.GPD_MLE, (name, rows, recording, *names))
         run_experiments([*table_specs("table7", m=20), *table_specs("table8", m=20)])
         assert sum(len(stack) for stack in stacks) == 600
         for stack in stacks:

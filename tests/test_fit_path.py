@@ -5,7 +5,9 @@ to a one-sample refresh loop of the transform, turning their exceptions into
 messages; ``pot_estimate`` reduced its sample on its own.  Those versions are
 copied here as references.  ``fit_all`` now fits one sample as a stack of one
 row through the row kernels, so every fit and every message must equal the
-reference's, bit for bit.
+reference's, bit for bit.  One rule was added since: a POT sample with a NaN
+or an infinite value fails every fit as non-finite, which the reference
+states by making its first excess NaN.
 """
 
 import math
@@ -142,6 +144,8 @@ def _reference_pot_estimate(x, cfg):
         raise ValueError(
             f"need at least 2 exceedances above threshold {threshold}, got {exc.size}"
         )
+    if not np.isfinite(arr).all():  # a NaN or an infinite value fails every fit
+        exc[0] = np.nan
     wanted = tuple(dict.fromkeys(cfg.estimators))
     outcomes = _reference_fit_all(
         exc, float(exc.min()), exc, [e for e in wanted if e is not E.HILL]

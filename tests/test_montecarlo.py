@@ -106,6 +106,15 @@ class TestExperimentSpecValidation:
         with pytest.raises(ValueError):
             make()
 
+    @pytest.mark.parametrize("entry", ["bogus", "pwm"])
+    def test_estimators_must_be_estimator_ids(self, entry):
+        # a str equal to a member's value is not a member either
+        src = GpdSource(GpdParams(1.0, 1.0, 0.5))
+        with pytest.raises(ValueError, match=repr(entry)):
+            ExperimentSpec(src, n=50, m=5, estimators=(EstimatorId.PWM, entry))
+        with pytest.raises(ValueError, match=repr(entry)):
+            ExperimentSpec(src, n=50, m=5, estimators=(entry,))
+
     def test_hill_needs_k(self):
         src = GpdSource(GpdParams(1.0, 1.0, 0.5))
         with pytest.raises(ValueError):
@@ -292,6 +301,21 @@ class TestTableSpecs:
     def test_unknown_table(self):
         with pytest.raises(ValueError):
             table_specs("table9")
+
+    @pytest.mark.parametrize("name", ["table1", "table8"])
+    def test_seed_range_covers_every_cell(self, name):
+        # a cell's seed is the seed plus the table's offset and the cell index
+        layout = montecarlo.TABLE_LAYOUTS[name]
+        top = 2**64 - 1 - layout.seed_offset - (len(layout.cells) - 1)
+        assert table_specs(name, seed=top, m=3)[-1].seed == 2**64 - 1
+        for seed in (top + 1, 2**64 - 1):
+            with pytest.raises(ValueError) as err:
+                table_specs(name, seed=seed, m=3)
+            assert f"{top}]" in str(err.value) and f"got {seed}" in str(err.value)
+
+    def test_bool_seed_rejected(self):
+        with pytest.raises(ValueError, match="got True"):
+            table_specs("table1", seed=True)
 
 
 @pytest.fixture(scope="module")

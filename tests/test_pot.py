@@ -32,6 +32,7 @@ from tailshape import (
     select_threshold,
 )
 from tailshape import montecarlo
+from tailshape.estimators import _ROWS
 
 
 class TestSelectThreshold:
@@ -167,6 +168,12 @@ class TestPotEstimate:
         with pytest.raises(ValueError):
             PotConfig(10, ())
 
+    @pytest.mark.parametrize("entry", ["bogus", "pwm"])
+    def test_estimators_must_be_estimator_ids(self, entry):
+        # a str equal to a member's value is not a member either
+        with pytest.raises(ValueError, match=repr(entry)):
+            PotConfig(10, (EstimatorId.PWM, entry))
+
 
 positive_samples = st.lists(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False),
@@ -254,11 +261,11 @@ class TestFitAll:
 
     def test_initial_fit_computed_once(self, monkeypatch):
         calls = []
-        original = tailshape.pot._zhang_stephens_rows
-        monkeypatch.setattr(
-            tailshape.pot,
-            "_zhang_stephens_rows",
-            lambda srt: calls.append(srt) or original(srt),
+        name, rows, original, *names = _ROWS[EstimatorId.ZHANG_STEPHENS]
+        monkeypatch.setitem(
+            _ROWS,
+            EstimatorId.ZHANG_STEPHENS,
+            (name, rows, lambda srt: calls.append(srt) or original(srt), *names),
         )
         x, support, exc = _over_minimum(sample_gpd(GpdParams(1.0, 1.0, 0.5), 200, RngStream(60, 0)))
         out = fit_all(x, support, exc, (EstimatorId.TRANSFORMED_ZS, EstimatorId.ZHANG_STEPHENS))
@@ -353,6 +360,12 @@ class TestFitAll:
         assert res.failures == {
             EstimatorId.HILL: "Hill estimator needs a positive threshold X_(n-k)"
         }
+
+    @pytest.mark.parametrize("entry", ["bogus", "pwm"])
+    def test_estimators_must_be_estimator_ids(self, entry):
+        x, support, exc = _over_minimum([1.0, 2.0, 3.0, 5.0])
+        with pytest.raises(ValueError, match=repr(entry)):
+            fit_all(x, support, exc, (EstimatorId.PWM, entry))
 
     def test_hill_needs_pot_estimate(self):
         with pytest.raises(ValueError, match="pot_estimate"):
@@ -676,3 +689,35 @@ class TestBatchedReplication:
         for estimator in POT_ESTIMATORS:
             assert np.isnan(slots[estimator][failed]).all()
             assert (reasons[estimator][failed] == Reason.too_few).all()
+
+
+class TestNonFiniteValues:
+    """A NaN or an infinite value anywhere in a sample fails every POT fit as
+    non-finite, although a NaN or -inf never exceeds the threshold and so
+    never shows among the excesses."""
+
+    FAILED = "sample contains non-finite values"
+    MESSAGES = {
+        **dict.fromkeys(POT_ESTIMATORS, FAILED),
+        EstimatorId.TRANSFORMED_ZS: f"initial Zhang-Stephens fit failed: {FAILED}",
+        EstimatorId.TRANSFORMED_PWM: f"initial PWM fit failed: {FAILED}",
+    }
+
+    @pytest.mark.parametrize("value", [np.nan, -np.inf, np.inf])
+    def test_pot_estimate(self, value):
+        x = sample_gpd(GpdParams(0.0, 1.0, 0.5), 200, RngStream(61, 0))
+        x[17] = value
+        res = pot_estimate(x, PotConfig(20, POT_ESTIMATORS))
+        assert res.fits == {}
+        assert res.failures == self.MESSAGES
+
+    def test_stacked(self):
+        spec = ExperimentSpec(
+            _SpikedT(3.0), n=200, m=12, k=20, estimators=POT_ESTIMATORS, seed=7
+        )
+        slots, reasons = montecarlo._replicate_range(spec, 0, spec.m)
+        for estimator in POT_ESTIMATORS:
+            transformed = estimator in (EstimatorId.TRANSFORMED_ZS, EstimatorId.TRANSFORMED_PWM)
+            expected = Reason.initial_failed if transformed else Reason.non_finite
+            assert (reasons[estimator] == expected).all()
+            assert np.isnan(slots[estimator]).all()
