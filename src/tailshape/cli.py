@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -284,11 +285,25 @@ def read_data_file(path: str) -> np.ndarray:
 # Commands
 # ---------------------------------------------------------------------------
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str | None) -> None:
+    """Write ``text`` to a file beside the output ``path`` and rename that file
+    over ``path``, so that ``path`` keeps an earlier output until the whole
+    document is written.  With ``text`` None, make and remove that file only:
+    an output that cannot be written then fails before the run."""
+    if os.path.isdir(path):  # which the rename would find only after the run
+        raise UsageError(f"cannot write output file {path}: it is a directory")
+    folder, name = os.path.split(path)
+    temp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        with open(temp, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text or "")
+        if text is None:
+            os.remove(temp)
+        else:
+            os.replace(temp, path)
     except OSError as err:
+        if os.path.exists(temp):
+            os.remove(temp)
         raise UsageError(f"cannot write output file {path}: {err}") from None
 
 
@@ -299,7 +314,7 @@ def _cmd_simulate(args) -> int:
     except (OSError, UnicodeDecodeError) as err:
         raise UsageError(f"cannot read config file {args.config}: {err}") from None
     groups = parse_config(text, args.config, seed_override=args.seed)
-    _write(args.out, "")  # so that an output that cannot be written fails before the run
+    _write(args.out, None)
 
     all_rows = []
     # one process pool runs every group's scenarios

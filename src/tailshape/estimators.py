@@ -16,7 +16,9 @@ Five estimators are provided:
   (k+1)-th largest, i.e. Pareto maximum likelihood on the top of the sample.
 
 All estimators are pure functions of their input sample and are safe to call
-concurrently.
+concurrently: a call keeps its buffers and output to itself, its helper
+threads (below) take only its blocks, and it evaluates itself every block
+that a helper busy with another call has not taken.
 
 Each estimator has one numerical implementation, a private row kernel that
 fits a 2-D array of equal-length samples, one sample per row, and returns
@@ -34,21 +36,27 @@ samples and keep the reasons.
 The ``log1p`` values of a profile likelihood (the Zhang-Stephens grid and
 the GPD ML scan) are evaluated in blocks of at most
 :data:`ELEMENT_BUDGET` elements, over (row, grid point) pairs, written into
-one buffer per call, so their memory does not grow with the number of rows
-or the sample size.  The GPD ML scan evaluates the profile coarse to fine
-over its 200 points.
+one buffer per thread, so their memory does not grow with the number of rows
+or the sample size.  A call of at least 4 blocks shares them with helper
+threads, which start on the first such call (never at import) and anew in a
+forked child; each (row, grid point) sum is one reduction whichever thread
+forms it, so the results do not depend on the number of cores.  The GPD ML
+scan evaluates the profile coarse to fine over its 200 points.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
 import numpy as np
 
 # elements in one block of a profile likelihood's log1p values (256 KiB of
-# float64): a row of 200 grid points over k = 100 excesses fits one block
+# float64, one buffer per thread that evaluates blocks): a row of 200 grid
+# points over k = 100 excesses fits one block
 ELEMENT_BUDGET = 2**15
 
 # the GPD ML scan: log-spaced points, of which every 8th and the last two (so
@@ -344,26 +352,101 @@ def _profile_xi(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     (row, grid point, observation) values are evaluated in blocks of at most
     ELEMENT_BUDGET elements (one grid point's n values when n exceeds it):
     whole rows at a time while a row's grid fits the budget, else part of one
-    row's grid at a time.  Every block is written into one buffer allocated
-    per call, and each (row, grid point) sum is divided by n once at the end,
-    which rounds exactly as ``mean`` does.
+    row's grid at a time.  Each (row, grid point) sum is one reduction over
+    the n values, divided by n once at the end, which rounds exactly as
+    ``mean`` does.
+
+    A call of at least 4 blocks shares them with :func:`_helpers` threads,
+    NumPy's loops releasing the GIL: the caller and its helpers take blocks
+    from one iterator, and each thread evaluates its blocks in a buffer of
+    its own and writes their sums into their part of the output.  A call of
+    fewer blocks, or on a single core, runs them all on the caller.
     """
     rows, grid = theta.shape
     n = x.shape[1]
     per_block = min(grid, max(1, ELEMENT_BUDGET // n))
     row_step = max(1, ELEMENT_BUDGET // (grid * n))
+    blocks = [
+        (a, min(a + row_step, rows), g, min(g + per_block, grid))
+        for a in range(0, rows, row_step)
+        for g in range(0, grid, per_block)
+    ]
     out = np.empty((rows, grid))
-    # one buffer for every block: a fresh temporary per block costs page faults
-    buf = np.empty(min(rows, row_step) * per_block * n)
-    for a in range(0, rows, row_step):
-        b = min(a + row_step, rows)
-        for g in range(0, grid, per_block):
-            h = min(g + per_block, grid)
-            t = buf[: (b - a) * (h - g) * n].reshape(b - a, h - g, n)
-            np.multiply(theta[a:b, g:h, None], x[a:b, None, :], out=t)
-            np.add.reduce(np.log1p(t, out=t), axis=2, out=out[a:b, g:h])
+    size = min(rows, row_step) * per_block * n
+    todo = iter(blocks)
+    jobs = [
+        _helper_pool().submit(_helper_blocks, np.geterr(), todo, theta, x, out, size)
+        for _ in range(_helpers(len(blocks)))
+    ]
+    try:
+        _xi_blocks(todo, theta, x, out, size)
+    finally:
+        for job in jobs:
+            job.result()
     out /= n
     return out
+
+
+def _xi_blocks(todo, theta, x, out, size: int) -> None:
+    """Evaluate blocks ``(a, b, g, h)`` taken from the iterator ``todo`` until
+    it is empty, in one buffer of ``size`` elements (a fresh temporary per
+    block costs page faults), and write the sums of each into
+    ``out[a:b, g:h]``."""
+    n = x.shape[1]
+    buf = np.empty(size)
+    for a, b, g, h in todo:  # one thread takes each: next() runs under the GIL
+        t = buf[: (b - a) * (h - g) * n].reshape(b - a, h - g, n)
+        np.multiply(theta[a:b, g:h, None], x[a:b, None, :], out=t)
+        np.add.reduce(np.log1p(t, out=t), axis=2, out=out[a:b, g:h])
+
+
+def _helper_blocks(err: dict, *args) -> None:
+    """:func:`_xi_blocks` on a helper thread, under the caller's error state
+    ``err``: a pool thread does not share it."""
+    with np.errstate(**err):
+        _xi_blocks(*args)
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _helpers(blocks: int) -> int:
+    """Helper threads for a call of ``blocks`` blocks: none below 4 blocks,
+    whose work costs less than waking a helper, else one per 4 blocks, up to
+    one per core besides the caller's."""
+    return 0 if blocks < 4 else min(blocks // 4, _cores() - 1)
+
+
+# the helper threads of _profile_xi, made on the first call that uses them;
+# the pool starts a thread only when none of its threads is idle
+_pool, _pool_lock = None, threading.Lock()
+
+
+def _helper_pool():
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(thread_name_prefix="tailshape-profile")
+        return _pool
+
+
+def _forget_pool() -> None:
+    """Drop the pool in a forked child: the parent's helper threads do not
+    exist there, and a pool that counts one of them as idle would never run a
+    job."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def _profile_loglik(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -481,6 +481,29 @@ class TestSimulate:
         assert code == 1
         assert f"cannot write output file {out}" in err
 
+    def test_failed_run_leaves_earlier_output(self, capsys, tmp_path, monkeypatch):
+        def run_experiments(*args, **kwargs):
+            raise RuntimeError("the run failed")
+
+        monkeypatch.setattr("tailshape.cli.run_experiments", run_experiments)
+        config = write(tmp_path / "run.cfg", SCENARIO_CONFIG)
+        out = tmp_path / "a.csv"
+        out.write_bytes(b"an earlier result\r\n")
+        with pytest.raises(RuntimeError, match="the run failed"):
+            run(capsys, "simulate", "--config", config, "--out", str(out))
+        assert out.read_bytes() == b"an earlier result\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "run.cfg"]
+
+    def test_directory_output_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
+        def run_experiments(*args, **kwargs):
+            raise AssertionError("the replications ran before the output was checked")
+
+        monkeypatch.setattr("tailshape.cli.run_experiments", run_experiments)
+        config = write(tmp_path / "run.cfg", SCENARIO_CONFIG)
+        code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path))
+        assert code == 1
+        assert f"cannot write output file {tmp_path}" in err
+
     def test_unknown_table_name(self, capsys, tmp_path):
         config = write(tmp_path / "bad.cfg", "[table]\nname = table19\n")
         code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path / "x"))

@@ -237,10 +237,13 @@ class TestStreamBlock:
         assert seen == expected
 
     def test_import_and_table_specs_leave_numpy_random_unloaded(self):
-        # numpy.random costs set-up time: nothing may import it before sampling
+        # numpy.random, concurrent.futures and the profile's helper thread
+        # cost set-up time: nothing may import or start them before the work
         code = (
-            "import sys, tailshape\n"
+            "import sys, threading, tailshape\n"
             "for i in range(1, 9): tailshape.table_specs(f'table{i}')\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "assert threading.active_count() == 1\n"
             "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
         )
         env = {**os.environ, "PYTHONPATH": str(Path(tailshape.__file__).parents[1])}

@@ -1,8 +1,15 @@
 """Tests for the five shape-parameter estimators."""
 
 import math
+import os
+import signal
+import subprocess
+import sys
+import threading
 import tracemalloc
+import warnings
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -680,11 +687,27 @@ def _allocating_profile_xi(theta, x):
     return out
 
 
+def _block_count(rows, grid, n):
+    """The blocks of a _profile_xi call, counted as _allocating_profile_xi forms them."""
+    per_block = min(grid, max(1, ELEMENT_BUDGET // n))
+    row_step = max(1, ELEMENT_BUDGET // (grid * n))
+    return -(-rows // row_step) * -(-grid // per_block)
+
+
 class TestProfileXi:
     # (rows, grid points, n): several rows per block (the last block partial),
     # part of one row's grid per block, and n > ELEMENT_BUDGET, one grid point
-    # per block
-    SHAPES = [(30, 27, 100), (2, 200, 1000), (2, 3, ELEMENT_BUDGET + 7000)]
+    # per block; each of the three with 3 blocks, below the 4 blocks that
+    # share the work with a helper thread, and with 4 or more
+    SHAPES = [
+        (30, 27, 100),
+        (2, 200, 1000),
+        (2, 3, ELEMENT_BUDGET + 7000),
+        (50, 27, 100),
+        (1, 96, 1000),
+        (1, 100, 1000),
+        (1, 3, ELEMENT_BUDGET + 7000),
+    ]
 
     @staticmethod
     def _inputs(rows, grid, n):
@@ -699,11 +722,61 @@ class TestProfileXi:
         theta, x = self._inputs(*shape)
         assert _profile_xi(theta, x).tobytes() == _allocating_profile_xi(theta, x).tobytes()
 
+    @pytest.mark.parametrize("cores", [2, 3])
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_peak_memory_is_one_block(self, shape):
-        # the output, one block of log1p values and the buffers NumPy's ufunc
-        # iterator allocates for the two broadcast operands of the product; a
-        # temporary per block would hold two blocks at once
+    def test_threaded_equal_to_allocating_loop(self, shape, cores, monkeypatch):
+        monkeypatch.setattr(estimators, "_cores", lambda: cores)
+        jobs = []
+        helper_blocks = estimators._helper_blocks
+        monkeypatch.setattr(
+            estimators, "_helper_blocks", lambda *args: jobs.append(helper_blocks(*args))
+        )
+        theta, x = self._inputs(*shape)
+        assert _profile_xi(theta, x).tobytes() == _allocating_profile_xi(theta, x).tobytes()
+        blocks = _block_count(*shape)
+        assert len(jobs) == (0 if blocks < 4 else min(blocks // 4, cores - 1))
+
+    def test_concurrent_callers(self, monkeypatch):
+        # more callers and helpers than cores, switching threads often: a
+        # block taken twice or never, or written into another call's output,
+        # changes some caller's result
+        monkeypatch.setattr(estimators, "_cores", lambda: 3)
+        inputs = [self._inputs(*shape) for shape in self.SHAPES[:3]] * 2
+        expected = [_allocating_profile_xi(theta, x).tobytes() for theta, x in inputs]
+        results = [None] * len(inputs)
+
+        def call(i):
+            results[i] = [_profile_xi(*inputs[i]).tobytes() for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(inputs))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [[e] * 5 for e in expected]
+
+    @pytest.mark.parametrize(
+        "cores, helpers",
+        [(1, [0, 0, 0, 0, 0]), (2, [0, 0, 1, 1, 1]), (3, [0, 0, 1, 2, 2]), (8, [0, 0, 1, 2, 7])],
+    )
+    def test_helpers_per_block_count(self, cores, helpers, monkeypatch):
+        monkeypatch.setattr(estimators, "_cores", lambda: cores)
+        assert [estimators._helpers(blocks) for blocks in (1, 3, 4, 8, 467)] == helpers
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_peak_memory_is_one_block(self, shape, monkeypatch):
+        # per thread taking part, one block of log1p values and the buffers
+        # NumPy's ufunc iterator allocates for the two broadcast operands of
+        # the product, plus the output; a temporary per block would hold two
+        # blocks at once
+        monkeypatch.setattr(estimators, "_cores", lambda: 2)
+        estimators._helper_pool()  # made before the trace, as by an earlier call
         theta, x = self._inputs(*shape)
         tracemalloc.start()
         try:
@@ -711,8 +784,54 @@ class TestProfileXi:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        threads = 1 + estimators._helpers(_block_count(*shape))
         iterator = 2 * 8 * np.getbufsize()
-        assert peak <= out.nbytes + 8 * max(ELEMENT_BUDGET, shape[2]) + iterator + 4096
+        block = 8 * max(ELEMENT_BUDGET, shape[2])
+        assert peak <= out.nbytes + threads * (block + iterator) + 4096
+
+    def test_helper_keeps_the_callers_error_state(self, monkeypatch):
+        # every product is -1, so every block's log1p warns unless the
+        # thread that evaluates it ignores floating-point errors as the
+        # caller does: a pool thread does not share the caller's error state
+        monkeypatch.setattr(estimators, "_cores", lambda: 2)
+        x = np.full((8, ELEMENT_BUDGET + 7000), 2.0)
+        theta = np.full((8, 3), -0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="ignore"):
+                xi = _profile_xi(theta, x)
+        assert (xi == -np.inf).all()
+
+    def test_forked_workers_after_a_threaded_call(self):
+        # a process-pool worker forked after a threaded call inherits a
+        # thread pool whose helper thread does not exist in it; unless the
+        # pool is dropped at the fork, the worker's first threaded call waits
+        # for it forever.  At m = 200, a worker's stacks of n = 250 ZS rows
+        # have more than 4 blocks
+        specs = table_specs("table1", m=200)
+        code = (
+            "import threading\n"
+            "import numpy as np\n"
+            "from tailshape import estimators, run_experiments, table_specs\n"
+            "estimators._cores = lambda: 2\n"
+            "estimators._profile_xi(np.ones((2, 3)), np.ones((2, estimators.ELEMENT_BUDGET + 1)))\n"
+            "assert threading.active_count() == 2\n"
+            "results = run_experiments(table_specs('table1', m=200), workers=2)\n"
+            "print(repr([r.summaries for r in results]))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(estimators.__file__).parents[1])}
+        proc = subprocess.Popen(
+            [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, text=True, start_new_session=True,
+        )
+        try:
+            out, err = proc.communicate(timeout=120)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)  # the workers too
+            proc.communicate()
+            pytest.fail("run_experiments(workers=2) hung after a threaded _profile_xi call")
+        assert proc.returncode == 0, err
+        assert out.strip() == repr([r.summaries for r in run_experiments(specs, workers=1)])
 
 
 class TestHill:
