@@ -28,6 +28,7 @@ import argparse
 import json
 import math
 import os
+import stat
 import sys
 from dataclasses import dataclass
 
@@ -286,23 +287,47 @@ def read_data_file(path: str) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _write(path: str, text: str | None) -> None:
-    """Write ``text`` to a file beside the output ``path`` and rename that file
-    over ``path``, so that ``path`` keeps an earlier output until the whole
-    document is written.  With ``text`` None, make and remove that file only:
-    an output that cannot be written then fails before the run."""
-    if os.path.isdir(path):  # which the rename would find only after the run
+    """Write ``text`` to the output ``path``; with ``text`` None, only check
+    that ``path`` can be written, so that an output that cannot be written
+    fails before the run.
+
+    A new output, or a regular file of this user's with one link in a folder
+    this user may write, is written to a file beside it (beside a symlink's
+    target) that is renamed over it with its mode, so that it keeps an
+    earlier output until the whole document is written.  Any other output (a
+    device such as ``/dev/stdout``, a FIFO, a file of another user's or with
+    more links) is written in place, as a rename would replace it."""
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    except OSError as err:
+        raise UsageError(f"cannot write output file {path}: {err}") from None
+    if st is not None and stat.S_ISDIR(st.st_mode):
         raise UsageError(f"cannot write output file {path}: it is a directory")
-    folder, name = os.path.split(path)
-    temp = os.path.join(folder, f".{name}.{os.getpid()}.tmp")
+    if st is not None and not os.access(path, os.W_OK):
+        raise UsageError(f"cannot write output file {path}: permission denied")
+    folder, name = os.path.split(os.path.realpath(path))
+    renamed = st is None or (
+        stat.S_ISREG(st.st_mode)
+        and st.st_nlink == 1
+        and st.st_uid == getattr(os, "geteuid", lambda: st.st_uid)()
+        and os.access(folder, os.W_OK)
+    )
+    if text is None and not renamed:
+        return
+    temp = os.path.join(folder, f".{name}.{os.getpid()}.tmp") if renamed else path
     try:
         with open(temp, "w", encoding="utf-8", newline="") as handle:
             handle.write(text or "")
         if text is None:
             os.remove(temp)
-        else:
-            os.replace(temp, path)
+        elif renamed:
+            if st is not None:
+                os.chmod(temp, stat.S_IMODE(st.st_mode))
+            os.replace(temp, os.path.join(folder, name))
     except OSError as err:
-        if os.path.exists(temp):
+        if renamed and os.path.exists(temp):
             os.remove(temp)
         raise UsageError(f"cannot write output file {path}: {err}") from None
 

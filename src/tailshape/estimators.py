@@ -17,7 +17,7 @@ Five estimators are provided:
 
 All estimators are pure functions of their input sample and are safe to call
 concurrently: a call keeps its buffers and output to itself, its helper
-threads (below) take only its blocks, and it evaluates itself every block
+thread (below) takes only its blocks, and it evaluates itself every block
 that a helper busy with another call has not taken.
 
 Each estimator has one numerical implementation, a private row kernel that
@@ -37,9 +37,9 @@ The ``log1p`` values of a profile likelihood (the Zhang-Stephens grid and
 the GPD ML scan) are evaluated in blocks of at most
 :data:`ELEMENT_BUDGET` elements, over (row, grid point) pairs, written into
 one buffer per thread, so their memory does not grow with the number of rows
-or the sample size.  A call of at least 4 blocks shares them with helper
-threads, which start on the first such call (never at import) and anew in a
-forked child; each (row, grid point) sum is one reduction whichever thread
+or the sample size.  A call of at least 4 blocks shares them with a helper
+thread, which starts on the first such call (never at import) and again
+after a fork; each (row, grid point) sum is one reduction whichever thread
 forms it, so the results do not depend on the number of cores.  The GPD ML
 scan evaluates the profile coarse to fine over its 200 points.
 """
@@ -356,11 +356,12 @@ def _profile_xi(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     the n values, divided by n once at the end, which rounds exactly as
     ``mean`` does.
 
-    A call of at least 4 blocks shares them with :func:`_helpers` threads,
-    NumPy's loops releasing the GIL: the caller and its helpers take blocks
-    from one iterator, and each thread evaluates its blocks in a buffer of
-    its own and writes their sums into their part of the output.  A call of
-    fewer blocks, or on a single core, runs them all on the caller.
+    A call of at least 4 blocks shares them with a helper thread
+    (:func:`_helpers`), NumPy's loops releasing the GIL: the caller and its
+    helper take blocks from one iterator, and each thread evaluates its
+    blocks in a buffer of its own and writes their sums into their part of
+    the output.  A call of fewer blocks, or on a single core, runs them all
+    on the caller.
     """
     rows, grid = theta.shape
     n = x.shape[1]
@@ -375,7 +376,7 @@ def _profile_xi(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     size = min(rows, row_step) * per_block * n
     todo = iter(blocks)
     jobs = [
-        _helper_pool().submit(_helper_blocks, np.geterr(), todo, theta, x, out, size)
+        _submit(np.geterr(), todo, theta, x, out, size)
         for _ in range(_helpers(len(blocks)))
     ]
     try:
@@ -417,9 +418,9 @@ def _cores() -> int:
 
 def _helpers(blocks: int) -> int:
     """Helper threads for a call of ``blocks`` blocks: none below 4 blocks,
-    whose work costs less than waking a helper, else one per 4 blocks, up to
-    one per core besides the caller's."""
-    return 0 if blocks < 4 else min(blocks // 4, _cores() - 1)
+    whose work costs less than waking a helper, or on a single core, else
+    one (more have not been measured on a machine with more cores)."""
+    return 1 if blocks >= 4 and _cores() > 1 else 0
 
 
 # the helper threads of _profile_xi, made on the first call that uses them;
@@ -427,26 +428,35 @@ def _helpers(blocks: int) -> int:
 _pool, _pool_lock = None, threading.Lock()
 
 
-def _helper_pool():
+def _submit(*args):
+    """Run :func:`_helper_blocks` with ``args`` on a helper thread."""
     global _pool
     with _pool_lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
             _pool = ThreadPoolExecutor(thread_name_prefix="tailshape-profile")
-        return _pool
+        return _pool.submit(_helper_blocks, *args)
 
 
-def _forget_pool() -> None:
-    """Drop the pool in a forked child: the parent's helper threads do not
-    exist there, and a pool that counts one of them as idle would never run a
-    job."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+def _before_fork() -> None:
+    """Join the helper threads before a fork and hold the lock across it: a
+    forked child has none of the parent's threads, so a pool it inherited
+    would wait for them forever, and Python 3.12 warns at a fork with live
+    threads.  The next threaded call makes the pool again."""
+    global _pool
+    _pool_lock.acquire()
+    if _pool is not None:
+        _pool.shutdown()
+        _pool = None
 
 
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(
+        before=_before_fork,
+        after_in_parent=_pool_lock.release,
+        after_in_child=_pool_lock.release,
+    )
 
 
 def _profile_loglik(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -5,7 +5,9 @@ import io
 import json
 import math
 import os
+import stat
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -503,6 +505,55 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path))
         assert code == 1
         assert f"cannot write output file {tmp_path}" in err
+
+    def test_symlinked_output_writes_its_target(self, capsys, tmp_path):
+        # the link stays a link; its target is renamed over and keeps its mode
+        config = write(tmp_path / "run.cfg", SCENARIO_CONFIG)
+        plain = tmp_path / "plain.csv"
+        run(capsys, "simulate", "--config", config, "--out", str(plain))
+        target = tmp_path / "results" / "a.csv"
+        target.parent.mkdir()
+        target.write_bytes(b"an earlier result\r\n")
+        target.chmod(0o640)
+        link = tmp_path / "a.csv"
+        link.symlink_to(target)
+        code, _, _ = run(capsys, "simulate", "--config", config, "--out", str(link))
+        assert code == 0
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == plain.read_bytes()
+        assert stat.S_IMODE(target.stat().st_mode) == 0o640
+        assert [p.name for p in target.parent.iterdir()] == ["a.csv"]
+
+    def test_hard_linked_output_is_written_in_place(self, capsys, tmp_path):
+        # a rename would leave the other name holding the earlier output
+        config = write(tmp_path / "run.cfg", SCENARIO_CONFIG)
+        plain = tmp_path / "plain.csv"
+        run(capsys, "simulate", "--config", config, "--out", str(plain))
+        out, other = tmp_path / "a.csv", tmp_path / "b.csv"
+        out.write_bytes(b"an earlier result\r\n")
+        os.link(out, other)
+        code, _, _ = run(capsys, "simulate", "--config", config, "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == other.read_bytes() == plain.read_bytes()
+        assert os.path.samefile(out, other)
+
+    def test_fifo_output_is_written_in_place(self, capsys, tmp_path):
+        # not a regular file, as a device such as /dev/stdout is not: a
+        # rename would put a regular file in its place, which its reader
+        # never sees
+        config = write(tmp_path / "run.cfg", SCENARIO_CONFIG)
+        plain = tmp_path / "plain.csv"
+        run(capsys, "simulate", "--config", config, "--out", str(plain))
+        fifo = tmp_path / "a.csv"
+        os.mkfifo(fifo)
+        got = []
+        reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        code, _, _ = run(capsys, "simulate", "--config", config, "--out", str(fifo))
+        reader.join(timeout=30)
+        assert code == 0
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+        assert got == [plain.read_bytes()]
 
     def test_unknown_table_name(self, capsys, tmp_path):
         config = write(tmp_path / "bad.cfg", "[table]\nname = table19\n")

@@ -722,10 +722,9 @@ class TestProfileXi:
         theta, x = self._inputs(*shape)
         assert _profile_xi(theta, x).tobytes() == _allocating_profile_xi(theta, x).tobytes()
 
-    @pytest.mark.parametrize("cores", [2, 3])
     @pytest.mark.parametrize("shape", SHAPES)
-    def test_threaded_equal_to_allocating_loop(self, shape, cores, monkeypatch):
-        monkeypatch.setattr(estimators, "_cores", lambda: cores)
+    def test_threaded_equal_to_allocating_loop(self, shape, monkeypatch):
+        monkeypatch.setattr(estimators, "_cores", lambda: 2)
         jobs = []
         helper_blocks = estimators._helper_blocks
         monkeypatch.setattr(
@@ -734,13 +733,13 @@ class TestProfileXi:
         theta, x = self._inputs(*shape)
         assert _profile_xi(theta, x).tobytes() == _allocating_profile_xi(theta, x).tobytes()
         blocks = _block_count(*shape)
-        assert len(jobs) == (0 if blocks < 4 else min(blocks // 4, cores - 1))
+        assert len(jobs) == (0 if blocks < 4 else 1)
 
     def test_concurrent_callers(self, monkeypatch):
         # more callers and helpers than cores, switching threads often: a
         # block taken twice or never, or written into another call's output,
         # changes some caller's result
-        monkeypatch.setattr(estimators, "_cores", lambda: 3)
+        monkeypatch.setattr(estimators, "_cores", lambda: 2)
         inputs = [self._inputs(*shape) for shape in self.SHAPES[:3]] * 2
         expected = [_allocating_profile_xi(theta, x).tobytes() for theta, x in inputs]
         results = [None] * len(inputs)
@@ -761,10 +760,7 @@ class TestProfileXi:
         assert not any(caller.is_alive() for caller in callers)
         assert results == [[e] * 5 for e in expected]
 
-    @pytest.mark.parametrize(
-        "cores, helpers",
-        [(1, [0, 0, 0, 0, 0]), (2, [0, 0, 1, 1, 1]), (3, [0, 0, 1, 2, 2]), (8, [0, 0, 1, 2, 7])],
-    )
+    @pytest.mark.parametrize("cores, helpers", [(1, [0, 0, 0, 0, 0]), (2, [0, 0, 1, 1, 1])])
     def test_helpers_per_block_count(self, cores, helpers, monkeypatch):
         monkeypatch.setattr(estimators, "_cores", lambda: cores)
         assert [estimators._helpers(blocks) for blocks in (1, 3, 4, 8, 467)] == helpers
@@ -776,8 +772,8 @@ class TestProfileXi:
         # the product, plus the output; a temporary per block would hold two
         # blocks at once
         monkeypatch.setattr(estimators, "_cores", lambda: 2)
-        estimators._helper_pool()  # made before the trace, as by an earlier call
         theta, x = self._inputs(*shape)
+        _profile_xi(theta, x)  # the helper thread made before the trace, as by an earlier call
         tracemalloc.start()
         try:
             out = _profile_xi(theta, x)
@@ -803,23 +799,38 @@ class TestProfileXi:
         assert (xi == -np.inf).all()
 
     def test_forked_workers_after_a_threaded_call(self):
-        # a process-pool worker forked after a threaded call inherits a
-        # thread pool whose helper thread does not exist in it; unless the
-        # pool is dropped at the fork, the worker's first threaded call waits
-        # for it forever.  At m = 200, a worker's stacks of n = 250 ZS rows
-        # have more than 4 blocks
+        # a process-pool worker forked with a live helper thread would inherit
+        # a thread pool whose thread does not exist in it, and wait for it
+        # forever at its first threaded call; Python 3.12 and later warn at
+        # such a fork (a warning that an 'error' filter does not turn into an
+        # exception).  So no helper thread may be alive at a fork (counted in
+        # the parent just after each one), no warning may be issued, and the
+        # workers' results must equal the serial run's.  At m = 200, a
+        # worker's stacks of n = 250 ZS rows have more than 4 blocks.  BLAS
+        # runs on one thread, so that its threads raise no warning of their own
         specs = table_specs("table1", m=200)
         code = (
-            "import threading\n"
+            "import os, threading, warnings\n"
             "import numpy as np\n"
             "from tailshape import estimators, run_experiments, table_specs\n"
             "estimators._cores = lambda: 2\n"
             "estimators._profile_xi(np.ones((2, 3)), np.ones((2, estimators.ELEMENT_BUDGET + 1)))\n"
             "assert threading.active_count() == 2\n"
-            "results = run_experiments(table_specs('table1', m=200), workers=2)\n"
+            "alive = []\n"
+            "os.register_at_fork(after_in_parent=lambda: alive.append(threading.active_count()))\n"
+            "with warnings.catch_warnings(record=True) as caught:\n"
+            "    warnings.simplefilter('always')\n"
+            "    results = run_experiments(table_specs('table1', m=200), workers=2)\n"
+            "assert alive == [1, 1], alive\n"
+            "assert not caught, [str(w.message) for w in caught]\n"
             "print(repr([r.summaries for r in results]))\n"
         )
-        env = {**os.environ, "PYTHONPATH": str(Path(estimators.__file__).parents[1])}
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(estimators.__file__).parents[1]),
+            "OPENBLAS_NUM_THREADS": "1",
+            "OMP_NUM_THREADS": "1",
+        }
         proc = subprocess.Popen(
             [sys.executable, "-c", code], env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True, start_new_session=True,
