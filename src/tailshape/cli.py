@@ -30,6 +30,7 @@ import math
 import os
 import stat
 import sys
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -251,9 +252,37 @@ def parse_config(text: str, path: str, seed_override: int | None = None):
 # Data files
 # ---------------------------------------------------------------------------
 
+# suffixes numpy's loadtxt decompresses, and tries beside a path that is missing
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
+
+
 def read_data_file(path: str) -> np.ndarray:
     """One finite value per line, as float() reads it; '#' starts a comment, blanks are
-    skipped, and any Unicode line break ends a line for the line numbers of errors."""
+    skipped, and any Unicode line break ends a line for the line numbers of errors.
+
+    A regular file is first read by numpy's C reader (``np.loadtxt``), which is
+    kept only when it reads one column of at least 2 finite values without an
+    error or a warning.  Any other file (comments, ``1_000``, non-ASCII digits,
+    Unicode line breaks inside a line, errors, non-finite values) is read by
+    the line parser, which makes every message.  The C reader gets the
+    absolute path of a file without a compressed suffix only, so that nothing
+    is decompressed and no path is taken for a URL."""
+    if os.path.isfile(path) and not path.lower().endswith(_COMPRESSED):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                data = np.loadtxt(
+                    os.path.abspath(path), dtype=float, comments=None, encoding="utf-8", ndmin=2
+                )
+        except Exception:  # the line parser reports every failure
+            data = None
+        if data is not None and data.shape[1] == 1 and len(data) >= 2 and np.isfinite(data).all():
+            return data[:, 0]
+    return _parse_lines(path)
+
+
+def _parse_lines(path: str) -> np.ndarray:
+    """``read_data_file``'s line parser, the one that names the line at fault."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()

@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import contextlib
+import gzip
 import io
 import json
 import math
@@ -205,28 +206,43 @@ _VALUES = st.one_of(
         ["-0.0", "1e308", "5e-324", "2.2e-310", " +1.5e3 ", "1_000", "\u0661\u0662.\u0665"]
     ),
 )
-_BAD = st.sampled_from(["abc", "1 2", "1e", "--1", "0x10", "1,5"])
+_BAD = st.sampled_from(
+    ["abc", "1 2", "1e", "--1", "0x10", "1,5", "\x00", "\ufeff", "1d5", "1;2"]
+)
 _NON_FINITE = st.sampled_from(["nan", "inf", "-Infinity"])
 _PADDING = st.sampled_from(["", " ", "\t", " \t ", "\u3000", "\xa0", "\x1f"])
 _BREAKS = st.sampled_from(
     ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
 )
 _COMMENTS = st.text(alphabet="# 1.5e-a\t", max_size=6).map(lambda body: "#" + body)
+# finite values numpy's C reader reads, on lines it ends
+_PLAIN = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-(10**300), 10**300).map(str),
+    st.sampled_from(["-0.0", "1e308", "5e-324", "2.2e-310", "+1.5e3", ".5", "5.", "1E-5"]),
+)
+_PLAIN_BREAKS = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @st.composite
 def data_texts(draw):
-    """Texts of data files: values, blank and comment lines, trailing comments
-    and, in about half of them, lines that do not parse or are not finite."""
-    tokens = [_VALUES, _VALUES, _VALUES, st.just(""), _COMMENTS]
-    if draw(st.booleans()):
-        tokens += [_BAD, _NON_FINITE]
+    """Texts of data files.  A third are plain values and blank lines, which
+    numpy's C reader reads; the rest have values, blank and comment lines,
+    trailing comments and, in about half of them, lines that do not parse or
+    are not finite."""
+    plain = draw(st.integers(0, 2)) == 0
+    if plain:
+        tokens, breaks = [_PLAIN, _PLAIN, _PLAIN, st.just("")], _PLAIN_BREAKS
+    else:
+        tokens, breaks = [_VALUES, _VALUES, _VALUES, st.just(""), _COMMENTS], _BREAKS
+        if draw(st.booleans()):
+            tokens += [_BAD, _NON_FINITE]
     text = ""
     for token in draw(st.lists(st.sampled_from(tokens), max_size=12)):
         line = draw(_PADDING) + draw(token) + draw(_PADDING)
-        if draw(st.integers(0, 3)) == 0:
+        if not plain and draw(st.integers(0, 3)) == 0:
             line += draw(_COMMENTS)
-        text += line + draw(_BREAKS)
+        text += line + draw(breaks)
     return text + draw(st.sampled_from(["", "7.5"]))
 
 
@@ -247,6 +263,62 @@ class TestReadDataFile:
             return data.dtype, data.tobytes()
 
         assert outcome(read_data_file) == outcome(loop_read_data_file)
+
+    @pytest.fixture()
+    def numpy_only(self, monkeypatch):
+        """The paths np.loadtxt is called with; the line parser may not run.
+        A path that is not absolute fails before np.loadtxt could take it
+        for a URL."""
+        calls = []
+        loadtxt = np.loadtxt
+
+        def spy(path, **kwargs):
+            assert os.path.isabs(path), path
+            calls.append(path)
+            return loadtxt(path, **kwargs)
+
+        def line_parser(path):
+            raise AssertionError(f"the line parser ran on {path}")
+
+        monkeypatch.setattr(np, "loadtxt", spy)
+        monkeypatch.setattr("tailshape.cli._parse_lines", line_parser)
+        return calls
+
+    def test_plain_file_is_read_by_numpy_alone(self, tmp_path, numpy_only):
+        path = write(tmp_path / "plain.dat", "1.5\n-0.0\r\n2.2e-310\n\n \t3 \r1e308\n")
+        want = loop_read_data_file(path)
+        assert read_data_file(path).tobytes() == want.tobytes()
+        assert numpy_only == [os.path.abspath(path)]
+
+    def test_url_like_relative_path_reads_the_local_file(self, tmp_path, monkeypatch, numpy_only):
+        folder = tmp_path / "http:" / "host"
+        folder.mkdir(parents=True)
+        write(folder / "x", "1.5\n2.5\n")
+        monkeypatch.chdir(tmp_path)
+        assert read_data_file("http://host/x").tolist() == [1.5, 2.5]
+        assert numpy_only == [str(folder / "x")]
+
+    @pytest.mark.parametrize(
+        "name, files, reason",
+        [
+            # numpy would decompress it; the line parser fails to decode it
+            ("x.gz", {"x.gz": gzip.compress(b"1.5\n2.5\n")}, "codec can't decode"),
+            # numpy would read x.gz in place of a missing x
+            ("x", {"x.gz": gzip.compress(b"1.5\n2.5\n")}, "No such file or directory"),
+            # numpy, with ndmin=1, would read one line of two values as two values
+            ("pair.dat", {"pair.dat": b"1 2"}, "could not parse '1 2' as a number"),
+        ],
+        ids=["compressed", "missing-beside-compressed", "one-line-pair"],
+    )
+    def test_same_data_error_as_the_line_parser(self, capsys, tmp_path, name, files, reason):
+        for file_name, content in files.items():
+            (tmp_path / file_name).write_bytes(content)
+        path = str(tmp_path / name)
+        with pytest.raises(DataError) as want:
+            loop_read_data_file(path)
+        assert reason in str(want.value)
+        code, out, err = run(capsys, "estimate", "--data", path, "--method", "zs")
+        assert (code, out, err) == (2, "", f"error: {want.value}\n")
 
     def test_messy_formatting_prints_the_same_fits(self, capsys, tmp_path):
         x = sample_gpd(GpdParams(1.0, 1.0, 0.5), 200, RngStream(61, 0))
@@ -554,6 +626,30 @@ class TestSimulate:
         assert code == 0
         assert stat.S_ISFIFO(os.stat(fifo).st_mode)
         assert got == [plain.read_bytes()]
+
+    @pytest.mark.parametrize("case", ["other-users-file", "read-only-folder"])
+    def test_output_that_cannot_be_renamed_is_written_in_place(
+        self, capsys, tmp_path, monkeypatch, case
+    ):
+        # as root, os.access allows everything: both cases are simulated
+        config = write(tmp_path / "run.cfg", SCENARIO_CONFIG)
+        plain = tmp_path / "plain.csv"
+        run(capsys, "simulate", "--config", config, "--out", str(plain))
+        out = tmp_path / "a.csv"
+        out.write_bytes(b"an earlier result\r\n")
+        inode = out.stat().st_ino
+        if case == "other-users-file":
+            monkeypatch.setattr(os, "geteuid", lambda: out.stat().st_uid + 1)
+        else:
+            access = os.access
+            monkeypatch.setattr(
+                os, "access", lambda path, mode: not os.path.isdir(path) and access(path, mode)
+            )
+        code, _, _ = run(capsys, "simulate", "--config", config, "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == plain.read_bytes()
+        assert out.stat().st_ino == inode
+        assert list(tmp_path.glob(".*.tmp")) == []
 
     def test_unknown_table_name(self, capsys, tmp_path):
         config = write(tmp_path / "bad.cfg", "[table]\nname = table19\n")

@@ -237,12 +237,14 @@ class TestStreamBlock:
         assert seen == expected
 
     def test_import_and_table_specs_leave_numpy_random_unloaded(self):
-        # numpy.random, concurrent.futures and the profile's helper thread
-        # cost set-up time: nothing may import or start them before the work
+        # numpy.random, concurrent.futures, gzip (which np.loadtxt imports at
+        # its first call) and the profile's helper thread cost set-up time:
+        # nothing may import or start them before the work
         code = (
-            "import sys, threading, tailshape\n"
+            "import sys, threading, tailshape, tailshape.cli\n"
             "for i in range(1, 9): tailshape.table_specs(f'table{i}')\n"
             "assert 'concurrent.futures' not in sys.modules\n"
+            "assert 'gzip' not in sys.modules\n"
             "assert threading.active_count() == 1\n"
             "print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
         )
