@@ -260,25 +260,41 @@ def read_data_file(path: str) -> np.ndarray:
     """One finite value per line, as float() reads it; '#' starts a comment, blanks are
     skipped, and any Unicode line break ends a line for the line numbers of errors.
 
-    A regular file is first read by numpy's C reader (``np.loadtxt``), which is
-    kept only when it reads one column of at least 2 finite values without an
-    error or a warning.  Any other file (comments, ``1_000``, non-ASCII digits,
-    Unicode line breaks inside a line, errors, non-finite values) is read by
-    the line parser, which makes every message.  The C reader gets the
-    absolute path of a file without a compressed suffix only, so that nothing
-    is decompressed and no path is taken for a URL."""
+    A regular file that is all ASCII with no '#' and no '_' is first read by
+    numpy's C reader (``np.loadtxt``), which is kept only when it reads one
+    column of at least 2 finite values without an error or a warning.  Every
+    other file is read by the line parser, which makes every message: a file
+    with comments, ``1_000``, non-ASCII digits or Unicode line breaks at once,
+    as the C reader might fail on it only at the end of a long file, and a
+    file with errors or non-finite values after the C reader fails.  The C
+    reader gets the absolute path of a file without a compressed suffix only,
+    so that nothing is decompressed and no path is taken for a URL."""
+    data = None
     if os.path.isfile(path) and not path.lower().endswith(_COMPRESSED):
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                data = np.loadtxt(
-                    os.path.abspath(path), dtype=float, comments=None, encoding="utf-8", ndmin=2
-                )
+            with open(path, "rb") as handle:
+                plain = _plain_bytes(handle.read())
+            if plain:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    data = np.loadtxt(
+                        os.path.abspath(path),
+                        dtype=float,
+                        comments=None,
+                        encoding="utf-8",
+                        ndmin=2,
+                    )
         except Exception:  # the line parser reports every failure
-            data = None
+            pass
         if data is not None and data.shape[1] == 1 and len(data) >= 2 and np.isfinite(data).all():
             return data[:, 0]
     return _parse_lines(path)
+
+
+def _plain_bytes(raw: bytes) -> bool:
+    """Whether ``raw`` has none of the bytes ('#', '_', non-ASCII) of files
+    that the line parser reads and numpy's C reader does not."""
+    return raw.isascii() and b"#" not in raw and b"_" not in raw
 
 
 def _parse_lines(path: str) -> np.ndarray:

@@ -222,24 +222,27 @@ _PLAIN = st.one_of(
     st.sampled_from(["-0.0", "1e308", "5e-324", "2.2e-310", "+1.5e3", ".5", "5.", "1E-5"]),
 )
 _PLAIN_BREAKS = st.sampled_from(["\n", "\r\n", "\r"])
+_PLAIN_PADDING = st.sampled_from(["", " ", "\t", " \t "])
 
 
 @st.composite
 def data_texts(draw):
-    """Texts of data files.  A third are plain values and blank lines, which
-    numpy's C reader reads; the rest have values, blank and comment lines,
+    """Texts of data files.  A third are plain ASCII values and blank lines,
+    which numpy's C reader reads; the rest have values, blank and comment lines,
     trailing comments and, in about half of them, lines that do not parse or
     are not finite."""
     plain = draw(st.integers(0, 2)) == 0
     if plain:
-        tokens, breaks = [_PLAIN, _PLAIN, _PLAIN, st.just("")], _PLAIN_BREAKS
+        tokens = [_PLAIN, _PLAIN, _PLAIN, st.just("")]
+        breaks, padding = _PLAIN_BREAKS, _PLAIN_PADDING
     else:
-        tokens, breaks = [_VALUES, _VALUES, _VALUES, st.just(""), _COMMENTS], _BREAKS
+        tokens = [_VALUES, _VALUES, _VALUES, st.just(""), _COMMENTS]
+        breaks, padding = _BREAKS, _PADDING
         if draw(st.booleans()):
             tokens += [_BAD, _NON_FINITE]
     text = ""
     for token in draw(st.lists(st.sampled_from(tokens), max_size=12)):
-        line = draw(_PADDING) + draw(token) + draw(_PADDING)
+        line = draw(padding) + draw(token) + draw(padding)
         if not plain and draw(st.integers(0, 3)) == 0:
             line += draw(_COMMENTS)
         text += line + draw(breaks)
@@ -247,7 +250,8 @@ def data_texts(draw):
 
 
 class TestReadDataFile:
-    @settings(max_examples=500, deadline=None)
+    # about 500 examples for the two thirds of texts that are not plain
+    @settings(max_examples=750, deadline=None)
     @given(data_texts())
     @example("nan\n1\n# x\n\x1f2 \r\nabc\n")  # a later parse error wins over a non-finite value
     def test_equal_to_per_line_loop(self, tmp_path_factory, text):
@@ -265,10 +269,9 @@ class TestReadDataFile:
         assert outcome(read_data_file) == outcome(loop_read_data_file)
 
     @pytest.fixture()
-    def numpy_only(self, monkeypatch):
-        """The paths np.loadtxt is called with; the line parser may not run.
-        A path that is not absolute fails before np.loadtxt could take it
-        for a URL."""
+    def loadtxt_calls(self, monkeypatch):
+        """The paths np.loadtxt is called with.  A path that is not absolute
+        fails before np.loadtxt could take it for a URL."""
         calls = []
         loadtxt = np.loadtxt
 
@@ -277,18 +280,58 @@ class TestReadDataFile:
             calls.append(path)
             return loadtxt(path, **kwargs)
 
+        monkeypatch.setattr(np, "loadtxt", spy)
+        return calls
+
+    @pytest.fixture()
+    def numpy_only(self, monkeypatch, loadtxt_calls):
+        """``loadtxt_calls``, where the line parser may not run."""
+
         def line_parser(path):
             raise AssertionError(f"the line parser ran on {path}")
 
-        monkeypatch.setattr(np, "loadtxt", spy)
         monkeypatch.setattr("tailshape.cli._parse_lines", line_parser)
-        return calls
+        return loadtxt_calls
 
     def test_plain_file_is_read_by_numpy_alone(self, tmp_path, numpy_only):
         path = write(tmp_path / "plain.dat", "1.5\n-0.0\r\n2.2e-310\n\n \t3 \r1e308\n")
         want = loop_read_data_file(path)
         assert read_data_file(path).tobytes() == want.tobytes()
         assert numpy_only == [os.path.abspath(path)]
+
+    @pytest.mark.parametrize(
+        "last_lines",
+        ["# end\n", "2.5  # note\n", "1_000\n", "2.5\u20283\n", "\u0662.5\n", "\xa02.5\n"],
+        ids=["comment", "inline-comment", "underscore", "unicode-break", "arabic-digit", "nbsp"],
+    )
+    def test_file_the_line_parser_reads_skips_numpy(self, tmp_path, loadtxt_calls, last_lines):
+        # numpy's C reader would read every value before failing on the last lines
+        path = write(tmp_path / "late.dat", "1.5\n" * 100 + last_lines)
+        assert read_data_file(path).tobytes() == loop_read_data_file(path).tobytes()
+        assert loadtxt_calls == []
+
+    @pytest.mark.parametrize("name", ["x.gz", "x.BZ2", "x.xz", "x.lzma"])
+    def test_compressed_suffix_skips_numpy(self, tmp_path, loadtxt_calls, name):
+        # numpy would try to decompress it
+        path = write(tmp_path / name, "1.5\n2.5\n")
+        assert read_data_file(path).tolist() == [1.5, 2.5]
+        assert loadtxt_calls == []
+
+    def test_fifo_is_read_once_by_the_line_parser(self, tmp_path, loadtxt_calls):
+        path = tmp_path / "data.fifo"
+        os.mkfifo(path)
+        result = []
+        reader = threading.Thread(target=lambda: result.append(read_data_file(str(path))))
+        reader.start()
+        with open(path, "w") as fifo:
+            fifo.write("1.5\n2.5\n")
+        reader.join(timeout=10)
+        while reader.is_alive():  # a second open of the FIFO waits for a writer
+            with contextlib.suppress(OSError):
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            reader.join(timeout=1)
+        assert [data.tolist() for data in result] == [[1.5, 2.5]]
+        assert loadtxt_calls == []
 
     def test_url_like_relative_path_reads_the_local_file(self, tmp_path, monkeypatch, numpy_only):
         folder = tmp_path / "http:" / "host"
@@ -307,8 +350,10 @@ class TestReadDataFile:
             ("x", {"x.gz": gzip.compress(b"1.5\n2.5\n")}, "No such file or directory"),
             # numpy, with ndmin=1, would read one line of two values as two values
             ("pair.dat", {"pair.dat": b"1 2"}, "could not parse '1 2' as a number"),
+            # numpy reads two columns
+            ("pairs.dat", {"pairs.dat": b"1 2\n3 4\n"}, "could not parse '1 2' as a number"),
         ],
-        ids=["compressed", "missing-beside-compressed", "one-line-pair"],
+        ids=["compressed", "missing-beside-compressed", "one-line-pair", "two-columns"],
     )
     def test_same_data_error_as_the_line_parser(self, capsys, tmp_path, name, files, reason):
         for file_name, content in files.items():
