@@ -38,12 +38,9 @@ import numpy as np
 from .distributions import GpdParams, gpd_quantile
 from .estimators import EstimationError, EstimatorId, FitResult
 from .montecarlo import (
+    _SOURCES,
     DEFAULT_SEED,
     ExperimentSpec,
-    GpdParetoSource,
-    GpdSource,
-    StableSource,
-    StudentTSource,
     TableDocument,
     run_experiments,
     summaries_document,
@@ -99,14 +96,7 @@ def _positive_int(raw: str) -> int:
 
 _GLOBAL_KEYS = {"seed", "m", "rounds", "estimators"}
 _TABLE_KEYS = {"name", "m", "seed"}
-# each source's constructor and the keys of its positional parameters
-_SOURCES = {
-    "gpd": (lambda mu, sigma, xi: GpdSource(GpdParams(mu, sigma, xi)), ("mu", "sigma", "xi")),
-    "gpd-pareto": (GpdParetoSource, ("mu", "xi")),
-    "student-t": (StudentTSource, ("df",)),
-    "stable": (StableSource, ("index",)),
-}
-_PARAM_KEYS = tuple(dict.fromkeys(key for _, keys in _SOURCES.values() for key in keys))
+_PARAM_KEYS = tuple(dict.fromkeys(key for family in _SOURCES.values() for key in family.keys))
 _SCENARIO_KEYS = _GLOBAL_KEYS | {"source", "n", "k", "fold", *_PARAM_KEYS}
 _KEYS = {"global": _GLOBAL_KEYS, "scenario": _SCENARIO_KEYS, "table": _TABLE_KEYS}
 
@@ -184,18 +174,18 @@ def _scenario_source(path: str, block: _Block):
     kind = value.lower()
     if kind not in _SOURCES:
         raise UsageError(f"{path}:{lineno}: unknown source {value!r}")
-    make, keys = _SOURCES[kind]
+    family = _SOURCES[kind]
     params = []
-    for key in keys:
+    for key in family.keys:
         if key not in entries:
             raise UsageError(f"{path}:{block.line}: source {kind!r} needs key {key!r}")
         params.append(_read(path, entries, key))
     for key in _PARAM_KEYS:
-        if key in entries and key not in keys:
+        if key in entries and key not in family.keys:
             raise UsageError(
                 f"{path}:{entries[key][1]}: key {key!r} does not apply to source {kind!r}"
             )
-    return make(*params)
+    return family.build(*params)
 
 
 def _section(path: str, block: _Block, index: int, defaults: dict):

@@ -1,8 +1,8 @@
 """Source distributions for tail-shape estimation benchmarks.
 
-Densities, distribution / survival functions, quantiles and seeded samplers
-for the three-parameter generalized Pareto distribution (GPD), the Pareto
-Type I distribution, Student's t and the symmetric alpha-stable family.
+The GPD density, distribution / survival functions, quantiles and seeded
+samplers for the three-parameter generalized Pareto distribution (GPD), the
+Pareto Type I distribution, Student's t and the symmetric alpha-stable family.
 
 All samplers draw from an :class:`RngStream`, a reproducible stream keyed by
 ``(seed, stream_id)``; a fixed key always reproduces the same sample, so one
@@ -11,11 +11,12 @@ stream per Monte Carlo replication makes serial and parallel runs agree.
 Each sampler is written as its raw draws (uniforms; normals and chi-squares;
 uniforms and exponentials) and a transform of them (the GPD or Pareto
 quantile, the normal-over-chi-square ratio, Chambers-Mallows-Stuck).  The
-replication engine draws many streams at once through a private
-:class:`_StreamBlock`: it hashes a block of stream keys in one pass, draws
-each row's raw variates from its own stream and applies the sampler's
-transform once to the whole stack, so row i is bit for bit the sample that
-``RngStream(seed, ids[i])`` gives.
+replication engine passes the same samplers a private :class:`_StreamBlock`
+in place of one stream: it hashes a block of stream keys in one pass, draws
+each row's raw variates from its own stream and the sampler transforms the
+whole stack at once, so row i is bit for bit the sample that
+``RngStream(seed, ids[i])`` gives.  Every stream, one or in a block, is a
+PCG64 that NumPy's C code seeds from its key's words of that hash.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
     "gpd_sf",
     "gpd_quantile",
     "sample_gpd",
-    "pareto_pdf",
     "pareto_cdf",
     "pareto_sf",
     "pareto_quantile",
@@ -100,15 +100,18 @@ class ParetoParams:
 class RngStream:
     """Reproducible random stream keyed by ``(seed, stream_id)``.
 
-    Streams with distinct keys are statistically independent (PCG64 seeded
-    through a ``SeedSequence`` over both ids), and the same key reproduces the
-    same draws bit for bit on a given build.  A stream owns its generator
-    state; do not share one stream across threads without coordination.
+    The stream is the PCG64 that ``SeedSequence([seed, stream_id])`` would
+    seed, seeded by NumPy from the key words :func:`_stream_keys` hashes, so
+    streams with distinct keys are statistically independent and the same key
+    reproduces the same draws bit for bit on a given build.  A stream pays the
+    hash's whole fixed cost, several times NumPy's SeedSequence (README).  A
+    stream owns its generator state; do not share one stream across threads
+    without coordination.
     """
 
     seed: int
     stream_id: int = 0
-    _generator: np.random.Generator = field(init=False, repr=False, compare=False)
+    generator: np.random.Generator = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for name, value in (("seed", self.seed), ("stream_id", self.stream_id)):
@@ -116,20 +119,18 @@ class RngStream:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
             if not 0 <= value <= _UINT64_MAX:
                 raise ValueError(f"{name} must fit in an unsigned 64-bit int, got {value}")
-        seq = np.random.SeedSequence([int(self.seed), int(self.stream_id)])
-        self._generator = np.random.Generator(np.random.PCG64(seq))
+        ids = range(int(self.stream_id), int(self.stream_id) + 1)
+        (self.generator,) = _generators(_stream_keys(int(self.seed), ids))
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._generator
+    def draw(self, n: int, draws, *args) -> tuple[np.ndarray, ...]:
+        """The raw draws ``draws(generator, n, *args)`` of a sampler."""
+        return draws(self.generator, n, *args)
 
 
-# NumPy's SeedSequence (pool of 4 uint32 words) and PCG64 seeding, as in
-# numpy/random/bit_generator.pyx and pcg64.h: the hash constants, the chain of
-# multipliers each hash call advances, and the 128-bit LCG multiplier.
+# NumPy's SeedSequence (pool of 4 uint32 words), as in
+# numpy/random/bit_generator.pyx: the hash constants and the chain of
+# multipliers each hash call advances.
 _MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK_128 = 2**128 - 1
 
 
 def _chain(init: int, mult: int, count: int) -> np.ndarray:
@@ -153,9 +154,9 @@ def _shift_xor(v: np.ndarray) -> np.ndarray:
 
 
 def _stream_keys(seed: int, ids: range) -> np.ndarray:
-    """Seed and increment words of ``PCG64(SeedSequence([seed, id]))`` for
-    each id, as a (4, len(ids)) uint64 array: seed high and low, increment
-    high and low.
+    """The words ``SeedSequence([seed, id]).generate_state(4, uint64)``
+    gives PCG64 for each id, as a C-ordered (len(ids), 4) uint64 array: seed
+    high and low, increment high and low.
 
     SeedSequence turns the key into little-endian uint32 words, one for a
     value below 2^32, else two; seed and id take at most four, so they fill
@@ -186,7 +187,27 @@ def _stream_keys(seed: int, ids: range) -> np.ndarray:
     state = np.concatenate([pool, pool]) ^ _HASH_B[:8]
     state *= _HASH_B[1:]
     state = _shift_xor(state).astype(np.uint64)
-    return state[0::2] | state[1::2] << np.uint64(32)
+    return np.ascontiguousarray((state[0::2] | state[1::2] << np.uint64(32)).T)
+
+
+class _StreamKey:
+    """The seed sequence of one stream: it gives PCG64 the stream's row of
+    :func:`_stream_keys`, a C-contiguous (4,) uint64 array whose buffer PCG64
+    reads.  It is registered as NumPy's ``ISeedSequence`` at the first draw,
+    as subclassing it here would load ``numpy.random`` on import."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=None) -> np.ndarray:
+        return self.words
+
+
+def _generators(keys: np.ndarray):
+    """The generator of each stream whose key words are a row of ``keys``."""
+    np.random.bit_generator.ISeedSequence.register(_StreamKey)
+    for words in keys:
+        yield np.random.Generator(np.random.PCG64(_StreamKey(words)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -194,40 +215,27 @@ class _StreamBlock:
     """The streams ``(seed, r)`` for a block of ids r, keyed at once.
 
     Row i draws exactly what ``RngStream(seed, ids[i])`` draws: :meth:`keyed`
-    computes every row's PCG64 starting state in one hash pass, and one
-    PCG64, created then and shared by the block's slices, is set to each
-    row's state in turn before the row is drawn.
+    hashes every row's key words in one pass, and each row is drawn from a
+    PCG64 seeded from its words.
     """
 
-    keys: np.ndarray  # (4, rows) words of _stream_keys
-    _generator: np.random.Generator = field(repr=False, compare=False)
+    keys: np.ndarray  # (rows, 4) words of _stream_keys
 
     @classmethod
     def keyed(cls, seed: int, ids: range) -> "_StreamBlock":
-        return cls(_stream_keys(seed, ids), np.random.Generator(np.random.PCG64(0)))
+        return cls(_stream_keys(seed, ids))
 
     def __len__(self) -> int:
-        return self.keys.shape[1]
+        return len(self.keys)
 
     def __getitem__(self, rows: slice) -> "_StreamBlock":
         """The streams of rows ``rows`` of the block."""
-        return _StreamBlock(self.keys[:, rows], self._generator)
+        return _StreamBlock(self.keys[rows])
 
     def draw(self, n: int, draws, *args) -> tuple[np.ndarray, ...]:
         """Per raw draw of the sampler ``draws(generator, n, *args)``, the
         (rows, n) stack of it, row i drawn from the block's stream i."""
-        bitgen = self._generator.bit_generator
-        pcg = {"state": 0, "inc": 0}
-        state = {"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0}
-        rows = []
-        for s_hi, s_lo, inc_hi, inc_lo in self.keys.T.tolist():
-            # PCG's set-sequence seeding: inc = 2 initseq + 1, then one LCG
-            # step, the seed added, and another step
-            inc = (inc_hi << 65 | inc_lo << 1 | 1) & _MASK_128
-            pcg["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK_128
-            pcg["inc"] = inc
-            bitgen.state = state
-            rows.append(draws(self._generator, n, *args))
+        rows = [draws(generator, n, *args) for generator in _generators(self.keys)]
         if len(rows) == 1:  # a view: long samples are drawn one row at a time
             return tuple(raw[None] for raw in rows[0])
         return tuple(np.stack(raws) for raws in zip(*rows))
@@ -293,14 +301,7 @@ def _uniform(g: np.random.Generator, n: int) -> tuple[np.ndarray]:
 
 def sample_gpd(params: GpdParams, n: int, rng: RngStream) -> np.ndarray:
     """Draw n GPD variates by inverse CDF applied to uniforms from ``rng``."""
-    return _gpd_quantile(params, *_uniform(rng.generator, _check_count(n)))
-
-
-def pareto_pdf(params: ParetoParams, z):
-    """Pareto density alpha * mu**alpha / z**(alpha + 1) for z >= mu."""
-    arr = _points(z, params.mu, "z")
-    out = params.alpha * params.mu**params.alpha / arr ** (params.alpha + 1.0)
-    return _maybe_scalar(out, z)
+    return _gpd_quantile(params, *rng.draw(_check_count(n), _uniform))
 
 
 def pareto_sf(params: ParetoParams, z):
@@ -326,7 +327,7 @@ def pareto_quantile(params: ParetoParams, prob):
 
 def sample_pareto(params: ParetoParams, n: int, rng: RngStream) -> np.ndarray:
     """Draw n Pareto variates by inverse CDF applied to uniforms from ``rng``."""
-    return _pareto_quantile(params, *_uniform(rng.generator, _check_count(n)))
+    return _pareto_quantile(params, *rng.draw(_check_count(n), _uniform))
 
 
 def _check_df(df: float) -> None:
@@ -339,14 +340,6 @@ def _check_index(index: float) -> None:
         raise ValueError(f"stability index must lie in (0, 2], got {index}")
 
 
-def _normal_chisquare(g: np.random.Generator, n: int, df: float) -> tuple[np.ndarray, ...]:
-    return g.standard_normal(n), g.chisquare(df, n)
-
-
-def _student_t(df: float, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return z / np.sqrt(w / df)
-
-
 def sample_student_t(df: float, n: int, rng: RngStream) -> np.ndarray:
     """Draw n standard Student's t variates with ``df`` degrees of freedom.
 
@@ -354,20 +347,8 @@ def sample_student_t(df: float, n: int, rng: RngStream) -> np.ndarray:
     purposes the implied GPD shape of threshold excesses is 1/df.
     """
     _check_df(df)
-    return _student_t(df, *_normal_chisquare(rng.generator, _check_count(n), df))
-
-
-def _uniform_exponential(g: np.random.Generator, n: int) -> tuple[np.ndarray, ...]:
-    return g.random(n), g.standard_exponential(n)
-
-
-def _stable(index: float, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    phi = np.pi * (u - 0.5)
-    return (
-        np.sin(index * phi)
-        / np.cos(phi) ** (1.0 / index)
-        * (np.cos((index - 1.0) * phi) / w) ** ((1.0 - index) / index)
-    )
+    z, w = rng.draw(_check_count(n), lambda g, n: (g.standard_normal(n), g.chisquare(df, n)))
+    return z / np.sqrt(w / df)
 
 
 def sample_symmetric_stable(index: float, n: int, rng: RngStream) -> np.ndarray:
@@ -383,4 +364,10 @@ def sample_symmetric_stable(index: float, n: int, rng: RngStream) -> np.ndarray:
     tan(Phi) (standard Cauchy) and index = 2 yields N(0, 2).
     """
     _check_index(index)
-    return _stable(index, *_uniform_exponential(rng.generator, _check_count(n)))
+    u, w = rng.draw(_check_count(n), lambda g, n: (g.random(n), g.standard_exponential(n)))
+    phi = np.pi * (u - 0.5)
+    return (
+        np.sin(index * phi)
+        / np.cos(phi) ** (1.0 / index)
+        * (np.cos((index - 1.0) * phi) / w) ** ((1.0 - index) / index)
+    )

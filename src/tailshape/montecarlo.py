@@ -1,11 +1,13 @@
 """Seeded replication engine and benchmark tables.
 
-An :class:`ExperimentSpec` describes one scenario: a source distribution, the
-sample size n, the replication count m, an optional exceedance count k for
-peaks-over-threshold runs, the estimator set and a seed.  Replication r draws
-its sample from the independent stream ``(seed, r)``, so results are
-deterministic for a fixed spec regardless of how replications are scheduled
-across worker processes.
+An :class:`ExperimentSpec` describes one scenario: a source distribution
+(one source table, ``_SOURCES``, states each family's config and CSV names,
+parameter keys, sampler and true shape), the sample size n, the replication
+count m, an optional exceedance count k for peaks-over-threshold runs, the
+estimator set and a seed.  Replication r draws its sample from the
+independent stream ``(seed, r)``, so results are deterministic for a fixed
+spec regardless of how replications are scheduled across worker
+processes.
 
 Scenarios without k follow the excess-over-minimum recipe: the smallest
 observation estimates the support bound and :func:`tailshape.pot.fit_all`
@@ -18,7 +20,8 @@ row kernel fits.  Replications are batched: the stream keys of a block of
 them are hashed at once, a chunk of the block is drawn, one row per stream,
 through its source's ``sample_rows``, and fitted by one stacked ``fit_all``
 call per excess count (ties leave fewer excesses).  Every row is bit for bit
-the sample ``source.sample(n, RngStream(seed, r))`` gives.  A chunk holds
+the sample the source's public sampler (``sample_gpd`` and the others) draws
+from ``RngStream(seed, r)``.  A chunk holds
 :data:`tailshape.estimators.ELEMENT_BUDGET` values (n per row, or k in POT
 runs, whose samples are drawn a few rows at a time and reduced at once), so
 memory does not grow with m, and every row gets exactly the estimates of a
@@ -47,22 +50,16 @@ import json
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, ClassVar, Union
+from operator import attrgetter, truediv
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .distributions import (
     GpdParams,
-    RngStream,
     _check_df,
     _check_index,
-    _gpd_quantile,
-    _normal_chisquare,
-    _stable,
     _StreamBlock,
-    _student_t,
-    _uniform,
-    _uniform_exponential,
     sample_gpd,
     sample_student_t,
     sample_symmetric_stable,
@@ -92,7 +89,6 @@ __all__ = [
     "MissingCellError",
     "emit_table",
     "summaries_document",
-    "read_table_csv",
 ]
 
 # documented default seed of the shipped reference runs: together with the
@@ -107,40 +103,46 @@ DEFAULT_GPD_ESTIMATORS = (
 )
 
 
-@dataclass(frozen=True)
-class GpdSource:
-    """Three-parameter GPD sampling source."""
+class Source:
+    """A sampling source, whose family's facts are in the table :data:`_SOURCES`."""
 
-    # the parameter a benchmark grid varies, reported as the CSV param_name
-    param_name: ClassVar[str] = "xi"
-    params: GpdParams
+    @property
+    def param_name(self) -> str:
+        """The parameter a benchmark grid varies, reported as the CSV param_name."""
+        return _FAMILY[type(self)].keys[-1]
 
     @property
     def true_xi(self) -> float:
-        return self.params.xi
-
-    def sample(self, n: int, rng: RngStream) -> np.ndarray:
-        return sample_gpd(self.params, n, rng)
+        family = _FAMILY[type(self)]
+        return family.xi_of(getattr(self, family.parameter))
 
     def sample_rows(self, n: int, streams: _StreamBlock) -> np.ndarray:
-        """One sample per stream of ``streams``, stacked: row i is
-        :meth:`sample` on the stream of row i, bit for bit."""
-        return _gpd_quantile(self.params, *streams.draw(n, _uniform))
+        """One sample per stream of ``streams``, stacked: the public sampler on
+        the block, so row i is its sample on ``RngStream(seed, ids[i])``."""
+        family = _FAMILY[type(self)]
+        return family.sampler(getattr(self, family.parameter), n, streams)
 
     def descriptor(self) -> dict:
-        return {
-            "source": "gpd",
-            "mu": self.params.mu,
-            "sigma": self.params.sigma,
-            "xi": self.params.xi,
-        }
+        """The CSV name of the source and its parameters by key."""
+        family = _FAMILY[type(self)]
+        return {"source": family.csv_name, **{key: getattr(self, key) for key in family.keys}}
 
 
 @dataclass(frozen=True)
-class GpdParetoSource:
+class GpdSource(Source):
+    """Three-parameter GPD sampling source."""
+
+    params: GpdParams
+    # the parameters by key, as the other sources have them as fields
+    mu = property(lambda self: self.params.mu)
+    sigma = property(lambda self: self.params.sigma)
+    xi = property(lambda self: self.params.xi)
+
+
+@dataclass(frozen=True)
+class GpdParetoSource(Source):
     """GPD source with the scale tied to xi * mu, i.e. exactly Pareto data."""
 
-    param_name: ClassVar[str] = "xi"
     mu: float
     xi: float
 
@@ -154,69 +156,63 @@ class GpdParetoSource:
     def params(self) -> GpdParams:
         return GpdParams(self.mu, self.xi * self.mu, self.xi)
 
-    @property
-    def true_xi(self) -> float:
-        return self.xi
-
-    def sample(self, n: int, rng: RngStream) -> np.ndarray:
-        return sample_gpd(self.params, n, rng)
-
-    def sample_rows(self, n: int, streams: _StreamBlock) -> np.ndarray:
-        return _gpd_quantile(self.params, *streams.draw(n, _uniform))
-
-    def descriptor(self) -> dict:
-        return {"source": "gpd_pareto", "mu": self.mu, "xi": self.xi}
-
 
 @dataclass(frozen=True)
-class StudentTSource:
+class StudentTSource(Source):
     """Standard Student's t source; the implied tail shape is 1/df."""
 
-    param_name: ClassVar[str] = "df"
     df: float
 
     def __post_init__(self) -> None:
         _check_df(self.df)
 
-    @property
-    def true_xi(self) -> float:
-        return 1.0 / self.df
-
-    def sample(self, n: int, rng: RngStream) -> np.ndarray:
-        return sample_student_t(self.df, n, rng)
-
-    def sample_rows(self, n: int, streams: _StreamBlock) -> np.ndarray:
-        return _student_t(self.df, *streams.draw(n, _normal_chisquare, self.df))
-
-    def descriptor(self) -> dict:
-        return {"source": "student_t", "df": self.df}
-
 
 @dataclass(frozen=True)
-class StableSource:
+class StableSource(Source):
     """Standard symmetric stable source; the implied tail shape is 1/index."""
 
-    param_name: ClassVar[str] = "index"
     index: float
 
     def __post_init__(self) -> None:
         _check_index(self.index)
 
-    @property
-    def true_xi(self) -> float:
-        return 1.0 / self.index
 
-    def sample(self, n: int, rng: RngStream) -> np.ndarray:
-        return sample_symmetric_stable(self.index, n, rng)
+class _Family(NamedTuple):
+    """A source family, one row of the source table :data:`_SOURCES`."""
 
-    def sample_rows(self, n: int, streams: _StreamBlock) -> np.ndarray:
-        return _stable(self.index, *streams.draw(n, _uniform_exponential))
+    cls: type
+    csv_name: str  # the CSV ``source`` column
+    # the parameters' config keys, in the order a source is built from them;
+    # the last is the parameter a benchmark grid varies
+    keys: tuple[str, ...]
+    sampler: Callable[..., np.ndarray]  # the public sampler(parameter, n, rng)
+    parameter: str  # the source attribute that the sampler takes
+    xi_of: Callable[..., float]  # the true shape, from that attribute
+    make: Callable[..., Source] | None = None  # where cls does not build it from the keys
 
-    def descriptor(self) -> dict:
-        return {"source": "stable", "index": self.index}
+    def build(self, *values: float) -> Source:
+        """The source with parameters ``values``, in key order."""
+        return (self.make or self.cls)(*values)
 
 
-Source = Union[GpdSource, GpdParetoSource, StudentTSource, StableSource]
+_xi = attrgetter("xi")
+_one_over = partial(truediv, 1.0)
+
+
+# Every source family once, by its name in config files: the config reader,
+# the CSV rows and the replication engine read each family's facts here.
+_SOURCES: dict[str, _Family] = {
+    "gpd": _Family(
+        GpdSource, "gpd", ("mu", "sigma", "xi"), sample_gpd, "params", _xi,
+        lambda mu, sigma, xi: GpdSource(GpdParams(mu, sigma, xi)),
+    ),
+    "gpd-pareto": _Family(GpdParetoSource, "gpd_pareto", ("mu", "xi"), sample_gpd, "params", _xi),
+    "student-t": _Family(StudentTSource, "student_t", ("df",), sample_student_t, "df", _one_over),
+    "stable": _Family(
+        StableSource, "stable", ("index",), sample_symmetric_stable, "index", _one_over
+    ),
+}
+_FAMILY = {family.cls: family for family in _SOURCES.values()}
 
 
 @dataclass(frozen=True)
@@ -694,26 +690,3 @@ def summaries_document(results, name: str = "custom") -> TableDocument:
     rows = [row for result in results for row in _result_rows(result, name, _ALL_STATS)]
     return TableDocument(name, columns, rows)
 
-
-def read_table_csv(text: str) -> list[dict]:
-    """Parse a document produced by :meth:`TableDocument.to_csv`.
-
-    Numeric fields come back as floats (ints where whole), empty cells as
-    None; this is the inverse used by the round-trip tests.
-    """
-    reader = csv.DictReader(io.StringIO(text))
-    rows = []
-    for raw in reader:
-        row: dict = {}
-        for key, value in raw.items():
-            if value == "":
-                row[key] = None
-            else:
-                try:
-                    num = float(value)
-                except ValueError:
-                    row[key] = value
-                else:
-                    row[key] = int(num) if key in ("n", "k", "failures", "m_used", "seed") else num
-        rows.append(row)
-    return rows

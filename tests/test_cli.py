@@ -1,6 +1,7 @@
 """Tests for the command-line interface and its exit-code contract."""
 
 import contextlib
+import csv
 import gzip
 import io
 import json
@@ -18,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailshape import GpdParams, ParetoParams, RngStream, pareto_quantile, sample_gpd
-from tailshape.cli import DataError, main, read_data_file
+from tailshape.cli import _SOURCES, DataError, main, read_data_file
 
 
 def write(path, text):
@@ -549,6 +550,47 @@ class TestSimulate:
         config = write(tmp_path / "pos.cfg", text.format(mu=1))
         code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path / "o"))
         assert (code, err) == (0, "")
+
+    # every source family: its config name, valid parameters and the CSV name
+    # its rows carry, which the shipped tables' source column fixes
+    SOURCE_NAMES = {
+        "gpd": ("mu = 1\nsigma = 2\nxi = 0.5", "gpd"),
+        "gpd-pareto": ("mu = 1\nxi = 0.5", "gpd_pareto"),
+        "student-t": ("df = 3", "student_t"),
+        "stable": ("index = 1.5", "stable"),
+    }
+
+    def test_every_source_family_is_named(self):
+        assert set(_SOURCES) == set(self.SOURCE_NAMES)
+
+    @pytest.mark.parametrize("name", SOURCE_NAMES)
+    def test_source_column_is_the_csv_name(self, capsys, tmp_path, name):
+        params, csv_name = self.SOURCE_NAMES[name]
+        assert _SOURCES[name].csv_name == csv_name
+        text = f"[scenario]\nsource = {name}\n{params}\nn = 20\nm = 2\n"
+        config = write(tmp_path / "run.cfg", text)
+        out = tmp_path / "a.csv"
+        code, _, _ = run(capsys, "simulate", "--config", config, "--out", str(out))
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out.read_text())))
+        assert rows and {row["source"] for row in rows} == {csv_name}
+
+    @pytest.mark.parametrize(
+        "body,message",
+        [
+            ("source = weibull\n", "2: unknown source 'weibull'"),
+            ("source = gpd\nmu = 1\nxi = 0.5\n", "1: source 'gpd' needs key 'sigma'"),
+            (
+                "source = student-t\ndf = 3\nindex = 1.5\n",
+                "4: key 'index' does not apply to source 'student-t'",
+            ),
+        ],
+        ids=["unknown-source", "missing-key", "other-sources-key"],
+    )
+    def test_source_errors(self, capsys, tmp_path, body, message):
+        config = write(tmp_path / "bad.cfg", f"[scenario]\n{body}n = 10\nm = 2\n")
+        code, out, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path / "x"))
+        assert (code, out, err) == (1, "", f"error: {config}:{message}\n")
 
     def test_invalid_shape_names_field_and_line(self, capsys, tmp_path):
         bad = SCENARIO_CONFIG.replace("xi = 0.5", "xi = -0.2")

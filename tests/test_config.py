@@ -355,13 +355,13 @@ def _readme_table(header):
 class TestReadmeMatchesCli:
     def test_sources(self):
         table = _readme_table("| `source` | Parameters |")
-        assert table == {name: list(keys) for name, (_, keys) in cli._SOURCES.items()}
+        assert table == {name: list(family.keys) for name, family in cli._SOURCES.items()}
         example = re.search(r"^source = \w+ +# (.*)$", README, re.M).group(1)
         assert example.split(" | ") == list(cli._SOURCES)
 
     def test_config_keys(self):
         scopes = _readme_table("| Scope | Keys |")
-        params = {key for _, keys in cli._SOURCES.values() for key in keys}
+        params = {key for family in cli._SOURCES.values() for key in family.keys}
         assert set(scopes["global"]) == cli._GLOBAL_KEYS
         assert set(scopes["[scenario]"]) | params | cli._GLOBAL_KEYS == cli._SCENARIO_KEYS
         assert set(scopes["[table]"]) == cli._TABLE_KEYS

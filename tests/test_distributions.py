@@ -12,19 +12,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import sampler_oracle
 import tailshape
 from tailshape.distributions import _StreamBlock
 
 from tailshape import (
     GpdParams,
+    GpdParetoSource,
+    GpdSource,
     ParetoParams,
     RngStream,
+    StableSource,
+    StudentTSource,
     gpd_cdf,
     gpd_pdf,
     gpd_quantile,
     gpd_sf,
     pareto_cdf,
-    pareto_pdf,
     pareto_quantile,
     pareto_sf,
     sample_gpd,
@@ -150,7 +154,6 @@ class TestParetoFunctions:
     def test_known_values(self):
         assert pareto_sf(ParetoParams(1.0, 2.0), 2.0) == 0.25
         assert pareto_quantile(ParetoParams(1.0, 1.0), 0.5) == pytest.approx(2.0, rel=1e-14)
-        assert pareto_pdf(ParetoParams(1.0, 1.0), 1.0) == 1.0
 
     def test_cdf_quantile_inverse(self):
         p = ParetoParams(2.0, 2.5)
@@ -160,7 +163,7 @@ class TestParetoFunctions:
     def test_domain_errors(self):
         p = ParetoParams(1.0, 1.0)
         with pytest.raises(ValueError):
-            pareto_pdf(p, 0.5)
+            pareto_sf(p, 0.5)
         with pytest.raises(ValueError):
             pareto_quantile(p, 1.0)
 
@@ -180,7 +183,8 @@ class _ZeroUniformStream:
         def random(self, n):
             return np.zeros(n)
 
-    generator = _Gen()
+    def draw(self, n, draws, *args):
+        return draws(self._Gen(), n, *args)
 
 
 class TestRngStream:
@@ -254,6 +258,57 @@ class TestStreamBlock:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+
+_GPD_PARAMS = st.builds(
+    GpdParams, st.floats(-1e3, 1e3), st.floats(1e-3, 1e3), st.floats(1e-3, 5.0)
+)
+_DF = st.floats(0.05, 100.0)
+_INDEX = st.floats(0.5, 2.0)
+_ANY_SOURCE = st.one_of(
+    st.builds(GpdSource, _GPD_PARAMS),
+    st.builds(GpdParetoSource, st.floats(1e-3, 1e3), st.floats(1e-3, 5.0)),
+    st.builds(StudentTSource, _DF),
+    st.builds(StableSource, _INDEX),
+)
+# each public sampler, its copy in the oracle and valid parameters for both
+_ANY_SAMPLER = st.one_of(
+    st.tuples(st.just(sample_gpd), st.just(sampler_oracle.sample_gpd), _GPD_PARAMS),
+    st.tuples(
+        st.just(sample_pareto),
+        st.just(sampler_oracle.sample_pareto),
+        st.builds(ParetoParams, st.floats(1e-3, 1e3), st.floats(0.2, 1e3)),
+    ),
+    st.tuples(st.just(sample_student_t), st.just(sampler_oracle.sample_student_t), _DF),
+    st.tuples(
+        st.just(sample_symmetric_stable), st.just(sampler_oracle.sample_symmetric_stable), _INDEX
+    ),
+)
+
+
+class TestOracle:
+    """Every sampling path draws the bits of the oracle's 1-D samplers keyed
+    through SeedSequence (``sampler_oracle``), for any key, size and valid
+    parameters."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ANY_SOURCE, _KEYS, _id_blocks(), st.integers(1, 64))
+    def test_rows_equal_to_oracle(self, source, seed, ids, n):
+        expected = np.stack(
+            [sampler_oracle.sample(source, n, sampler_oracle.stream(seed, r)) for r in ids]
+        )
+        block = _StreamBlock.keyed(seed, ids)
+        assert source.sample_rows(n, block).tobytes() == expected.tobytes()
+        # a slice draws its own rows, also after the block has drawn
+        half = len(ids) // 2
+        assert source.sample_rows(n, block[half:]).tobytes() == expected[half:].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_ANY_SAMPLER, _KEYS, _KEYS, st.integers(1, 64))
+    def test_public_samplers_equal_to_oracle(self, sampler, seed, stream_id, n):
+        public, oracle, params = sampler
+        expected = oracle(params, n, sampler_oracle.stream(seed, stream_id))
+        assert public(params, n, RngStream(seed, stream_id)).tobytes() == expected.tobytes()
 
 
 class TestSamplers:
