@@ -16,9 +16,8 @@ Five estimators are provided:
   (k+1)-th largest, i.e. Pareto maximum likelihood on the top of the sample.
 
 All estimators are pure functions of their input sample and are safe to call
-concurrently: a call keeps its buffers and output to itself, its helper
-thread (below) takes only its blocks, and it evaluates itself every block
-that a helper busy with another call has not taken.
+concurrently: a call keeps its buffers, output and helper thread (below) to
+itself, so k concurrent callers run at most 2k threads.
 
 Each estimator has one numerical implementation, a private row kernel that
 fits a 2-D array of equal-length samples, one sample per row, and returns
@@ -38,17 +37,17 @@ the GPD ML scan) are evaluated in blocks of at most
 :data:`ELEMENT_BUDGET` elements, over (row, grid point) pairs, written into
 one buffer per thread, so their memory does not grow with the number of rows
 or the sample size.  A call of at least 4 blocks shares them with a helper
-thread, which starts on the first such call (never at import) and again
-after a fork; each (row, grid point) sum is one reduction whichever thread
-forms it, so the results do not depend on the number of cores.  The GPD ML
-scan evaluates the profile coarse to fine over its 200 points.
+thread that it starts and joins, so no thread runs between calls; each (row,
+grid point) sum is one reduction whichever thread forms it, so the results
+do not depend on the number of cores.  The GPD ML scan evaluates the
+profile coarse to fine over its 200 points.
 """
 
 from __future__ import annotations
 
+import _thread
 import math
 import os
-import threading
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 
@@ -357,11 +356,11 @@ def _profile_xi(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     ``mean`` does.
 
     A call of at least 4 blocks shares them with a helper thread
-    (:func:`_helpers`), NumPy's loops releasing the GIL: the caller and its
-    helper take blocks from one iterator, and each thread evaluates its
-    blocks in a buffer of its own and writes their sums into their part of
-    the output.  A call of fewer blocks, or on a single core, runs them all
-    on the caller.
+    (:func:`_helpers`) that it starts and joins itself, NumPy's loops
+    releasing the GIL: the caller and its helper take blocks from one
+    iterator, and each thread evaluates its blocks in a buffer of its own and
+    writes their sums into their part of the output.  A call of fewer blocks,
+    or on a single core, runs them all on the caller.
     """
     rows, grid = theta.shape
     n = x.shape[1]
@@ -375,15 +374,12 @@ def _profile_xi(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = np.empty((rows, grid))
     size = min(rows, row_step) * per_block * n
     todo = iter(blocks)
-    jobs = [
-        _submit(np.geterr(), todo, theta, x, out, size)
-        for _ in range(_helpers(len(blocks)))
-    ]
+    joins = [_start_helper(todo, theta, x, out, size) for _ in range(_helpers(len(blocks)))]
     try:
         _xi_blocks(todo, theta, x, out, size)
     finally:
-        for job in jobs:
-            job.result()
+        for join in joins:
+            join()
     out /= n
     return out
 
@@ -401,11 +397,31 @@ def _xi_blocks(todo, theta, x, out, size: int) -> None:
         np.add.reduce(np.log1p(t, out=t), axis=2, out=out[a:b, g:h])
 
 
-def _helper_blocks(err: dict, *args) -> None:
-    """:func:`_xi_blocks` on a helper thread, under the caller's error state
-    ``err``: a pool thread does not share it."""
-    with np.errstate(**err):
-        _xi_blocks(*args)
+def _start_helper(*args):
+    """Run :func:`_xi_blocks` with ``args`` on a new thread, under the
+    caller's floating-point error state (a new thread does not share it), and
+    return a function that waits for the thread to end and re-raises its
+    exception, if any.  ``_thread`` does not wait, as ``threading.Thread.start``
+    does, for the new thread to report that it has started."""
+    err, done, failed = np.geterr(), _thread.allocate_lock(), []
+    done.acquire()
+
+    def run():
+        try:
+            with np.errstate(**err):
+                _xi_blocks(*args)
+        except BaseException as exc:  # raised in the caller by join()
+            failed.append(exc)
+        finally:
+            done.release()
+
+    def join():
+        done.acquire()
+        if failed:
+            raise failed[0]
+
+    _thread.start_new_thread(run, ())
+    return join
 
 
 def _cores() -> int:
@@ -421,42 +437,6 @@ def _helpers(blocks: int) -> int:
     whose work costs less than waking a helper, or on a single core, else
     one (more have not been measured on a machine with more cores)."""
     return 1 if blocks >= 4 and _cores() > 1 else 0
-
-
-# the helper threads of _profile_xi, made on the first call that uses them;
-# the pool starts a thread only when none of its threads is idle
-_pool, _pool_lock = None, threading.Lock()
-
-
-def _submit(*args):
-    """Run :func:`_helper_blocks` with ``args`` on a helper thread."""
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(thread_name_prefix="tailshape-profile")
-        return _pool.submit(_helper_blocks, *args)
-
-
-def _before_fork() -> None:
-    """Join the helper threads before a fork and hold the lock across it: a
-    forked child has none of the parent's threads, so a pool it inherited
-    would wait for them forever, and Python 3.12 warns at a fork with live
-    threads.  The next threaded call makes the pool again."""
-    global _pool
-    _pool_lock.acquire()
-    if _pool is not None:
-        _pool.shutdown()
-        _pool = None
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(
-        before=_before_fork,
-        after_in_parent=_pool_lock.release,
-        after_in_child=_pool_lock.release,
-    )
 
 
 def _profile_loglik(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
