@@ -236,7 +236,7 @@ def _outcome(estimator: EstimatorId, out: tuple, sample: np.ndarray, **values):
     row["converged"] = reason != Reason.not_converged
     row["alpha_transformed"] = 1.0 / xi if xi > 0 else math.inf
     if estimator is EstimatorId.GPD_MLE:
-        row["profile_loglik"] = _profile_loglik(row["theta"], sample)[0][0]
+        row["profile_loglik"] = _profile_loglik(np.array([[row["theta"]]]), sample[None])[0].item()
     sigma, mu = (None, scale) if rows == "sample" else (scale, None)
     try:
         return FitResult(xi, sigma, mu, estimator, {k: float(row[k]) for k in diagnostics})
@@ -447,22 +447,17 @@ def _profile_loglik(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nd
 
         l(theta) = n * (log(theta / xi(theta)) - xi(theta) - 1).
 
-    ``theta`` holds grid points for one sample ``x``, or one row of grid
-    points per row of a 2-D ``x``.  theta and xi(theta) always share a sign,
-    so the log argument is positive; invalid points (theta = 0 or xi = 0) are
-    mapped to -inf.
+    ``theta`` holds one row of grid points per sample row of ``x``.  theta
+    and xi(theta) always share a sign, so the log argument is positive;
+    invalid points (theta = 0 or xi = 0) are mapped to -inf.
     """
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if x.ndim == 1:
-        xi = _profile_xi(theta[None, :], x[None, :])[0]
-    else:
-        xi = _profile_xi(theta, x)
+    xi = _profile_xi(theta, x)
     with np.errstate(divide="ignore", invalid="ignore"):
         ll = np.divide(theta, xi)
         np.log(ll, out=ll)
         ll -= xi
         ll -= 1.0
-        ll *= x.shape[-1]
+        ll *= x.shape[1]
     ll[~np.isfinite(ll)] = -np.inf
     return ll, xi
 
@@ -626,15 +621,14 @@ def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, ...]:
     iters = np.zeros(len(x), dtype=int)
     with np.errstate(all="ignore"):
         todo = rows[converged]
-        falling = _profile_score(lo[todo], x if converged.all() else x[todo])[0] <= 0.0
+        falling = _profile_score(lo[todo], x[todo])[0] <= 0.0
         # falling already at the lower bracket: the maximum sits at the shape
         # zero boundary (i == 0) or, anomalously, at the scan point itself
         at_zero = todo[falling & (i[todo] == 0)]
         theta[at_zero] = lo[at_zero]
         todo = todo[~falling]
         # the rest rise at the lower end: refine those not rising at the upper end
-        xs = x if len(todo) == len(x) else x[todo]
-        todo = todo[~(_profile_score(hi[todo], xs)[0] >= 0.0)]
+        todo = todo[~(_profile_score(hi[todo], x[todo])[0] >= 0.0)]
         # Newton state (log_lo, log_hi, u) and stop width of each refined row
         state = {
             r: (math.log(lo[r]), math.log(hi[r]), math.log(theta[r])) for r in todo.tolist()
@@ -644,8 +638,7 @@ def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, ...]:
         tol = {r: max(1e-13, math.ulp(max(abs(a), abs(b)))) for r, (a, b, _) in state.items()}
         live = [r for r, (log_lo, log_hi, _) in state.items() if log_hi - log_lo > tol[r]]
         while live:
-            xs = x if len(live) == len(x) else x[live]
-            g, dg = _profile_score(np.array([math.exp(state[r][2]) for r in live]), xs)
+            g, dg = _profile_score(np.array([math.exp(state[r][2]) for r in live]), x[live])
             iters[live] += 1
             still = []
             for r, g_r, dg_r in zip(live, g.tolist(), dg.tolist()):

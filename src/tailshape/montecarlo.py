@@ -16,10 +16,10 @@ original observations).  Scenarios with k follow
 :func:`tailshape.pot.pot_estimate`: the samples are reduced, by the
 reduction ``pot_estimate`` runs on its one sample, to their thresholds
 X_(n-k), their excesses over them and their k largest values, which the Hill
-row kernel fits.  Replications are batched: the stream keys of a block of
-them are hashed at once, a chunk of the block is drawn, one row per stream,
-through its source's ``sample_rows``, and fitted by one stacked ``fit_all``
-call per excess count (ties leave fewer excesses).  Every row is bit for bit
+row kernel fits.  Replications are batched a chunk at a time: the stream
+keys of a chunk are hashed at once, its samples are drawn, one row per
+stream, through its source's ``sample_rows``, and fitted by one stacked
+``fit_all`` call per excess count (ties leave fewer excesses).  Every row is bit for bit
 the sample the source's public sampler (``sample_gpd`` and the others) draws
 from ``RngStream(seed, r)``.  A chunk holds
 :data:`tailshape.estimators.ELEMENT_BUDGET` values (n per row, or k in POT
@@ -284,12 +284,6 @@ class ExperimentResult:
     spec: ExperimentSpec
     summaries: tuple[ReplicationSummary, ...]
 
-    def summary(self, estimator: EstimatorId) -> ReplicationSummary:
-        for s in self.summaries:
-            if s.estimator is estimator:
-                return s
-        raise KeyError(f"no summary for estimator {estimator!r}")
-
 
 def mse(estimates, true_xi: float) -> float:
     """Mean squared deviation of the estimates from the true shape."""
@@ -328,11 +322,9 @@ def _replicate_range(spec: ExperimentSpec, start: int, stop: int):
     stream (seed, r).  Returns ``(slots, reasons)``: per estimator, each
     replication's estimate (NaN where it failed) and its reason.
 
-    The stream keys are hashed a block of an eighth of the element budget of
-    replications at a time (:class:`tailshape.distributions._StreamBlock`),
-    so the hash's fixed cost is shared by up to thousands of rows and its
-    states do not grow with m.  Within a block, a chunk of replications is
-    drawn at once, one row per stream, and its rows are fitted by one
+    The replications are taken a chunk at a time: the chunk's stream keys are
+    hashed at once (:class:`tailshape.distributions._StreamBlock`), its
+    samples are drawn, one row per stream, and its rows are fitted by one
     :func:`tailshape.pot.fit_all` call per excess count (rows with ties have
     fewer excesses).  A chunk holds the element budget: rows x width values,
     where the width is n, or k in peaks-over-threshold runs.  The arrays alive
@@ -344,27 +336,23 @@ def _replicate_range(spec: ExperimentSpec, start: int, stop: int):
     reasons = {est: np.full(stop - start, Reason.too_few) for est in spec.estimator_set}
     plan = [est for est in spec.estimator_set if est is not EstimatorId.HILL]
     pot = spec.k is not None
-    block = ELEMENT_BUDGET // 8
     chunk = max(1, ELEMENT_BUDGET // (spec.k if pot else spec.n))
-    for b in range(start, stop, block):
-        streams = _StreamBlock.keyed(spec.seed, range(b, min(b + block, stop)))
-        for a in range(0, len(streams), chunk):
-            rows_at = b - start + a
-            if pot:
-                count, stack, hill = _draw_pot(spec, streams[a : a + chunk])
-                if EstimatorId.HILL in slots:
-                    at = slice(rows_at, rows_at + len(count))
-                    slots[EstimatorId.HILL][at], reasons[EstimatorId.HILL][at] = hill
-            else:
-                count, stack = _draw_minimum(spec, streams[a : a + chunk])
-            for width in dict.fromkeys(count.tolist()):
-                if pot and width < 2:  # the whole replication fails as too few
-                    continue
-                rows = np.flatnonzero(count == width)
-                # pot_estimate runs no refresh rounds
-                fits = fit_all(*stack(rows, width), plan, 0 if pot else spec.rounds)
-                for est, (xi, reason) in fits.items():
-                    slots[est][rows_at + rows], reasons[est][rows_at + rows] = xi, reason
+    for a in range(0, stop - start, chunk):  # a chunk's slots start at a
+        streams = _StreamBlock.keyed(spec.seed, range(start + a, min(start + a + chunk, stop)))
+        if pot:
+            count, stack, hill = _draw_pot(spec, streams)
+            if EstimatorId.HILL in slots:
+                at = slice(a, a + len(count))
+                slots[EstimatorId.HILL][at], reasons[EstimatorId.HILL][at] = hill
+        else:
+            count, stack = _draw_minimum(spec, streams)
+        for width in dict.fromkeys(count.tolist()):
+            if pot and width < 2:  # the whole replication fails as too few
+                continue
+            rows = np.flatnonzero(count == width)
+            fits = fit_all(*stack(rows, width), plan, spec.rounds)
+            for est, (xi, reason) in fits.items():
+                slots[est][a + rows], reasons[est][a + rows] = xi, reason
     return slots, reasons
 
 
@@ -378,7 +366,7 @@ def _draw_minimum(spec: ExperimentSpec, streams: _StreamBlock):
     above = x > mu_hat[:, None]
 
     def stack(rows, width):
-        xs = x if rows.size == len(x) else x[rows]
+        xs = x[rows]
         exc = xs[above[rows]].reshape(rows.size, width)
         exc -= mu_hat[rows, None]
         return xs, mu_hat[rows], exc
@@ -410,8 +398,7 @@ def _draw_pot(spec: ExperimentSpec, streams: _StreamBlock):
     threshold, excesses, count, top = (np.concatenate(part) for part in zip(*parts))
 
     def stack(rows, width):
-        whole = width == spec.k and rows.size == len(count)
-        exc = excesses if whole else excesses[rows, :width]
+        exc = excesses[rows, :width]
         return exc, exc.min(axis=1), exc
 
     hill, _, reason = _hill_rows(top, threshold)

@@ -43,7 +43,7 @@ from .estimators import (
     _outcome,
     _reduce_pot,
 )
-from .transform import _iterate_transform_rows, _transform_row_checks
+from .transform import _iterate_transform_rows
 
 __all__ = [
     "DEFAULT_POT_ESTIMATORS",
@@ -114,15 +114,14 @@ def excesses(x, threshold: float) -> np.ndarray:
     return exc
 
 
-def _kernel_fits(e: EstimatorId, rows: dict, support, checked, rounds: int, fits):
+def _kernel_fits(e: EstimatorId, rows: dict, support, rounds: int, fits):
     """The outputs ``(xi, scale, reason, ...)`` of the row kernel of estimator
     ``e`` on ``rows[kind]``, the stack of the kind of rows it fits.  A
     transformed estimator transforms the sample with its initial fit in
-    ``fits``, ``checked`` being the transform's row checks.  Rows of fewer than
-    2 values fail as too few (a transformed estimator's after its initial fit
-    and checks)."""
+    ``fits``; its kernel checks the rows.  Rows of fewer than 2 values fail as
+    too few (a transformed estimator's after its initial fit and checks)."""
     if e in _INITIAL:
-        return _iterate_transform_rows(rows["sample"], support, fits[_INITIAL[e]], rounds, checked)
+        return _iterate_transform_rows(rows["sample"], support, fits[_INITIAL[e]], rounds)
     _, kind, kernel, *_ = _ROWS[e]
     if rows[kind].shape[1] < 2:
         nan = np.full(len(support), np.nan)
@@ -166,13 +165,11 @@ def fit_all(
     rows = {"sample": xs, "excesses": excs}
     if any(_ROWS[_INITIAL.get(e, e)][1] == "sorted" for e in wanted):  # one sort for all
         rows["sorted"] = np.sort(excs, axis=1)
-    # the transformed estimators share their row checks
-    checked = _transform_row_checks(xs, supports) if transformed else None
     fits = {}
     for estimator in dict.fromkeys(wanted):
         for e in (_INITIAL.get(estimator, estimator), estimator):
             if e not in fits:
-                fits[e] = _kernel_fits(e, rows, supports, checked, rounds, fits)
+                fits[e] = _kernel_fits(e, rows, supports, rounds, fits)
     if not single:
         return {e: (np.where(fits[e][2] == _OK, fits[e][0], np.nan), fits[e][2]) for e in wanted}
     outcomes = {}

@@ -199,34 +199,27 @@ def iterate_transform(x, initial: FitResult, mu_hat: float, rounds: int) -> FitR
     return _fitted(_outcome(estimator, out, arr[0], support=mu_hat))
 
 
-def _transform_row_checks(x, mu_hat) -> np.ndarray:
-    """Reason of each row of ``x`` that no three-parameter map with support
-    estimate ``mu_hat`` may transform, else ``ok``; it does not depend on the
-    initial fit, so every transformed estimator of a stack shares it."""
-    return _first_reason(
-        (~((mu_hat > 0) & (mu_hat < np.inf)), Reason.support_nonpositive),
-        (~np.isfinite(x).all(axis=1), Reason.non_finite),
-    )
-
-
-def _iterate_transform_rows(x, mu_hat, initial, rounds: int, checked=None) -> tuple:
+def _iterate_transform_rows(x, mu_hat, initial, rounds: int) -> tuple:
     """Row kernel of :func:`iterate_transform` with three-parameter maps.
 
     Row i of ``x`` is transformed with ``mu_hat[i]`` and the initial fit of
     row i of ``initial``, the outputs ``(xi_hat, sigma_hat, reason, ...)`` of
-    the initial estimator's kernel; ``checked`` is
-    :func:`_transform_row_checks` of ``x`` and ``mu_hat``, computed if not
-    given.  The result is, per row, the shape estimate after up to ``rounds``
-    refresh rounds, the Pareto scale of that fit, the reason, and the clamp
-    count, the refresh rounds done and the shape of the last map.  A row stops
-    refreshing at its first failure or at a zero shape estimate (a Pareto ML
-    fit is never negative): its shape is then kept, so each later map repeats
-    its last one and its outputs stay those of that map.
+    the initial estimator's kernel.  The kernel checks each row: a row whose
+    initial fit failed, whose support estimate is not a positive real, or
+    with a NaN or an infinite value fails with that reason.  The result is,
+    per row, the shape estimate after up to ``rounds`` refresh rounds, the
+    Pareto scale of that fit, the reason, and the clamp count, the refresh
+    rounds done and the shape of the last map.  A row stops refreshing at its
+    first failure or at a zero shape estimate (a Pareto ML fit is never
+    negative): its shape is then kept, so each later map repeats its last one
+    and its outputs stay those of that map.
     """
     shape, sigma_hat, initial = initial[:3]
-    if checked is None:
-        checked = _transform_row_checks(x, mu_hat)
-    reason = np.where(initial != _OK, int(Reason.initial_failed), checked)
+    reason = _first_reason(
+        (initial != _OK, Reason.initial_failed),
+        (~((mu_hat > 0) & (mu_hat < np.inf)), Reason.support_nonpositive),
+        (~np.isfinite(x).all(axis=1), Reason.non_finite),
+    )
     done = np.zeros(len(x), dtype=int)
     if x.shape[1] < 2:  # too few values to map: rows fail after their checks
         nan = np.full(len(x), np.nan)

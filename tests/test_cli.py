@@ -88,6 +88,11 @@ class TestEstimate:
         assert code == 1
         assert "--k" in err
 
+    def test_k_not_below_n_is_usage_error(self, capsys, gpd_file):
+        code, _, err = run(capsys, "estimate", "--data", gpd_file, "--method", "zs", "--k", "400")
+        assert code == 1
+        assert "--k must satisfy 1 <= k < n = 400" in err
+
     def test_pot_path(self, capsys, gpd_file):
         code, out, _ = run(
             capsys, "estimate", "--data", gpd_file, "--method", "hill", "--k", "100"
@@ -426,6 +431,25 @@ class TestQuantile:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("probs, message", [
+        (",", "--p needs at least one probability"),
+        ("abc", "could not parse probability 'abc'"),
+    ])
+    def test_unreadable_probabilities_are_usage_errors(self, capsys, probs, message):
+        code, out, err = run(
+            capsys, "quantile", "--mu", "0", "--sigma", "1", "--xi", "1", "--p", probs
+        )
+        assert code == 1
+        assert out == ""
+        assert message in err
+
+    def test_fit_with_direct_parameters_is_usage_error(self, capsys, tmp_path):
+        fit = {"mu_hat": 1.0, "sigma_hat": 1.0, "xi_hat": 0.5}
+        path = write(tmp_path / "fit.json", json.dumps(fit))
+        code, _, err = run(capsys, "quantile", "--fit", path, "--mu", "1", "--p", "0.5")
+        assert code == 1
+        assert "--fit and direct --mu/--sigma/--xi are mutually exclusive" in err
+
     def test_bad_fit_file_is_data_error(self, capsys, tmp_path):
         path = write(tmp_path / "fit.json", "{not json")
         code, _, _ = run(capsys, "quantile", "--fit", path, "--p", "0.5")
@@ -463,6 +487,20 @@ class TestQuantile:
         assert code == 2
         assert out == ""
         assert path in err and reason in err
+
+    @pytest.mark.parametrize("fit, reason", [
+        ({"mu_hat": 1.0, "sigma_hat": 1.0}, "fit file needs numeric mu_hat, sigma_hat and xi_hat"),
+        (
+            {"mu_hat": 1.0, "sigma_hat": 1.0, "xi_hat": 0.0},
+            "cannot derive alpha_transformed from xi_hat = 0.0",
+        ),
+    ], ids=["no-xi", "zero-xi-without-alpha"])
+    def test_fit_file_without_a_usable_shape_is_data_error(self, capsys, tmp_path, fit, reason):
+        path = write(tmp_path / "fit.json", json.dumps(fit))
+        code, out, err = run(capsys, "quantile", "--fit", path, "--p", "0.5")
+        assert code == 2
+        assert out == ""
+        assert f"{path}: {reason}" in err
 
 
 SCENARIO_CONFIG = """\
@@ -625,6 +663,12 @@ class TestSimulate:
         assert code == 1
         assert "bogus" in err
 
+    def test_config_without_a_section_is_config_error(self, capsys, tmp_path):
+        config = write(tmp_path / "bare.cfg", "seed = 1\nm = 5\n")
+        code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path / "x"))
+        assert code == 1
+        assert f"{config}: config defines no [scenario] or [table] section" in err
+
     def test_missing_config_file(self, capsys, tmp_path):
         code, _, err = run(
             capsys, "simulate", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path / "x")
@@ -664,6 +708,17 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--config", config, "--out", str(tmp_path))
         assert code == 1
         assert f"cannot write output file {tmp_path}" in err
+
+    def test_output_under_a_file_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
+        def run_experiments(*args, **kwargs):
+            raise AssertionError("the replications ran before the output was checked")
+
+        monkeypatch.setattr("tailshape.cli.run_experiments", run_experiments)
+        config = write(tmp_path / "run.cfg", SCENARIO_CONFIG)
+        out = str(tmp_path / "run.cfg" / "x.csv")
+        code, _, err = run(capsys, "simulate", "--config", config, "--out", out)
+        assert code == 1
+        assert f"cannot write output file {out}: " in err and "Not a directory" in err
 
     def test_symlinked_output_writes_its_target(self, capsys, tmp_path):
         # the link stays a link; its target is renamed over and keeps its mode

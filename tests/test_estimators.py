@@ -284,7 +284,7 @@ class TestGpdMle:
         returned = fit.diagnostics["profile_loglik"]
         gen = RngStream(30, 1).generator
         probes = np.exp(gen.uniform(math.log(1e-8 / z.mean()), math.log(1e4 / z.mean()), 1000))
-        values, _ = _profile_loglik(probes, z)
+        values, _ = _profile_loglik(probes[None, :], z[None, :])
         assert returned >= values.max() - 1e-9
 
     def test_divergence_reported_not_hidden(self):
@@ -338,7 +338,7 @@ def _bisection_gpd_mle(x):
     xbar = float(x.mean())
     theta_hi, theta_lo = 1e4 / xbar, 1e-8 / xbar
     grid = np.geomspace(theta_lo, theta_hi, 200)
-    ll, _ = _profile_loglik(grid, x)
+    ll = _profile_loglik(grid[None, :], x[None, :])[0][0]
     i = int(np.argmax(ll))
     if i == grid.size - 1 and ll[-1] > ll[-2]:
         return float(np.mean(np.log1p(theta_hi * x))), 0.0

@@ -52,6 +52,10 @@ class TestMetrics:
         assert bias([0.4, 0.4], 0.5) == pytest.approx(0.1, abs=1e-15)
         assert bias([0.6], 0.5) == pytest.approx(-0.1, abs=1e-15)
 
+    def test_bias_needs_an_estimate(self):
+        with pytest.raises(ValueError, match="^bias needs at least one estimate$"):
+            bias([], 0.5)
+
     def test_relative_efficiency(self):
         assert relative_efficiency(0.0225, 0.5, 100) == pytest.approx(1.0, rel=1e-12)
         assert relative_efficiency(0.0118, 0.1, 50) == pytest.approx(2.0508, abs=5e-4)
@@ -115,6 +119,11 @@ class TestExperimentSpecValidation:
         with pytest.raises(ValueError, match=repr(entry)):
             ExperimentSpec(src, n=50, m=5, estimators=(entry,))
 
+    def test_empty_estimator_set_rejected(self):
+        src = GpdSource(GpdParams(1.0, 1.0, 0.5))
+        with pytest.raises(ValueError, match="^estimator set must not be empty$"):
+            ExperimentSpec(src, n=50, m=5, estimators=())
+
     def test_hill_needs_k(self):
         src = GpdSource(GpdParams(1.0, 1.0, 0.5))
         with pytest.raises(ValueError):
@@ -132,6 +141,12 @@ class TestExperimentSpecValidation:
 
 
 class TestRunExperiment:
+    @pytest.mark.parametrize("workers", [0, True])
+    def test_workers_must_be_positive_integer(self, workers):
+        with pytest.raises(ValueError) as err:
+            run_experiments([SPEC], workers=workers)
+        assert str(err.value) == f"workers must be a positive integer, got {workers!r}"
+
     def test_single_replication_identities(self):
         spec = ExperimentSpec(
             GpdSource(GpdParams(1.0, 1.0, 0.5)),
@@ -254,9 +269,12 @@ class TestSampleRows:
         half = len(reps) // 2
         assert source.sample_rows(n, block[half:]).tobytes() == expected[half:].tobytes()
 
-    @pytest.mark.parametrize("budget,calls", [(None, 1), (60, 4)])
-    @pytest.mark.parametrize("k", [None, 3])
-    def test_keys_hashed_once_per_block(self, monkeypatch, budget, calls, k):
+    # n = 20 and m = 25: chunks of 5 rows of n values, of 10 rows of k = 3
+    # values, or, at the element budget, one chunk
+    @pytest.mark.parametrize("k,budget,calls", [
+        (None, None, 1), (None, 100, 5), (3, None, 1), (3, 30, 3),
+    ])
+    def test_keys_hashed_once_per_chunk(self, monkeypatch, k, budget, calls):
         hashed = []
 
         def counted(seed, ids):
@@ -265,12 +283,27 @@ class TestSampleRows:
 
         stream_keys = distributions._stream_keys
         monkeypatch.setattr(distributions, "_stream_keys", counted)
-        if budget is not None:  # blocks of 7 replications
+        if budget is not None:
             monkeypatch.setattr(montecarlo, "ELEMENT_BUDGET", budget)
         spec = ExperimentSpec(StudentTSource(3.0), n=20, m=25, k=k, seed=9)
         montecarlo._replicate_range(spec, 0, spec.m)
         assert len(hashed) == calls
         assert [r for ids in hashed for r in ids] == list(range(spec.m))
+
+    @pytest.mark.parametrize("source,k,budget", [
+        (GpdSource(GpdParams(1.0, 1.0, 0.5)), None, 100), (StudentTSource(3.0), 3, 30),
+    ])
+    def test_any_split_over_chunks_gives_the_same_bytes(self, monkeypatch, source, k, budget):
+        monkeypatch.setattr(montecarlo, "ELEMENT_BUDGET", budget)
+        spec = ExperimentSpec(source, n=20, m=25, k=k, seed=9)
+        whole = montecarlo._replicate_range(spec, 0, spec.m)
+        # cuts inside chunks, on a chunk boundary and one replication wide
+        for bounds in ([0, 1, 7, 8, 20, 25], [0, 5, 12, 25], [0, 24, 25]):
+            parts = [montecarlo._replicate_range(spec, a, b) for a, b in zip(bounds, bounds[1:])]
+            for i in (0, 1):  # the slots, then the reasons
+                for e in spec.estimator_set:
+                    joined = np.concatenate([part[i][e] for part in parts])
+                    assert joined.tobytes() == whole[i][e].tobytes()
 
 
 class TestTableSpecs:
@@ -338,6 +371,10 @@ class TestTableDocuments:
         with pytest.raises(MissingCellError) as err:
             emit_table(table1_results[:1], "table1")
         assert len(err.value.missing) == 14
+
+    def test_unknown_layout_name(self, table1_results):
+        with pytest.raises(ValueError, match="^unknown table layout 'table9'$"):
+            emit_table(table1_results, "table9")
 
     def test_wrong_source_kind_is_missing(self, table1_results):
         with pytest.raises(MissingCellError):

@@ -23,8 +23,10 @@ from tailshape import (
     StudentTSource,
     estimate_hill,
     estimate_pareto_ml,
+    estimate_zhang_stephens,
     excesses,
     fit_all,
+    iterate_transform,
     pot_estimate,
     sample_gpd,
     sample_pareto,
@@ -385,6 +387,11 @@ class TestFitAll:
         with pytest.raises(ValueError, match=repr(entry)):
             fit_all(x, support, exc, (EstimatorId.PWM, entry))
 
+    def test_negative_rounds_rejected(self):
+        x = np.array([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError, match="^rounds must be a non-negative integer, got -1$"):
+            fit_all(x, 1.0, x[1:] - 1.0, (EstimatorId.TRANSFORMED_ZS,), rounds=-1)
+
     def test_hill_needs_pot_estimate(self):
         with pytest.raises(ValueError, match="pot_estimate"):
             fit_all(np.array([1.0, 2.0, 3.0]), 1.0, np.array([1.0, 2.0]), (EstimatorId.HILL,))
@@ -638,7 +645,7 @@ class TestBatchedReplication:
         self, source, n, m, cuts, budget, rounds
     ):
         # criterion 09: workers fit sub-ranges; a small budget forces several
-        # chunks and key blocks (budget // 8 replications: 3 or 7)
+        # chunks
         spec = ExperimentSpec(
             source, n=n, m=m, estimators=PLAN_ESTIMATORS, seed=7, rounds=rounds
         )
@@ -709,6 +716,23 @@ class TestBatchedReplication:
         for estimator in POT_ESTIMATORS:
             assert np.isnan(slots[estimator][failed]).all()
             assert (reasons[estimator][failed] == Reason.too_few).all()
+
+
+    def test_pot_rounds_refresh_the_transform(self):
+        # each transformed_zs slot is the transform of the replication's folded
+        # excesses refreshed once, as a lone iterate_transform call fits it
+        spec = ExperimentSpec(
+            StudentTSource(3.0), n=1000, m=30, k=100, seed=4, rounds=1, fold_absolute=True
+        )
+        slots, _ = montecarlo._replicate_range(spec, 0, spec.m)
+        expected = []
+        for r in range(spec.m):
+            x = sampler_oracle.sample(spec.source, spec.n, sampler_oracle.stream(spec.seed, r))
+            exc = excesses(np.abs(x), select_threshold(np.abs(x), spec.k))
+            expected.append(iterate_transform(exc, estimate_zhang_stephens(exc), exc.min(), 1))
+        assert [_bits(v) for v in slots[EstimatorId.TRANSFORMED_ZS]] == [
+            _bits(fit.xi_hat) for fit in expected
+        ]
 
 
 class TestNonFiniteValues:

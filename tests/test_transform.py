@@ -47,6 +47,10 @@ class TestTransformSpec:
         with pytest.raises(ValueError):
             TransformSpec(1.0, 1.0, math.nan)
 
+    def test_two_parameter_needs_finite_mu(self):
+        with pytest.raises(ValueError, match="^mu_hat must be finite, got nan$"):
+            TransformSpec(math.nan, 2.0, 0.5, TransformForm.TWO_PARAMETER)
+
     def test_two_parameter_allows_zero_mu(self):
         spec = TransformSpec(0.0, 2.0, 0.5, TransformForm.TWO_PARAMETER)
         assert spec.lower_bound == 2.0
@@ -251,3 +255,12 @@ class TestQuantileBackTransform:
             gpd_quantile_via_transform(spec, 2.0, 1.0)
         with pytest.raises(ValueError):
             gpd_quantile_via_transform(TransformSpec(1.0, 2.0, -0.5), 2.0, 0.5)
+
+    def test_cdf_validation(self):
+        spec = TransformSpec(1.0, 2.0, 0.5)
+        with pytest.raises(ValueError) as err:
+            gpd_cdf_via_transform(spec, 0.0, 2.0)
+        assert str(err.value) == "alpha_transformed must be a positive real, got 0.0"
+        # the map sends x = 0.5 to 0.875, below the support bound mu_hat = 1
+        with pytest.raises(ValueError, match="^x maps below the Pareto support bound$"):
+            gpd_cdf_via_transform(spec, 2.0, 0.5)
