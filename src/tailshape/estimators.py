@@ -40,7 +40,10 @@ or the sample size.  A call of at least 4 blocks shares them with a helper
 thread that it starts and joins, so no thread runs between calls; each (row,
 grid point) sum is one reduction whichever thread forms it, so the results
 do not depend on the number of cores.  The GPD ML scan evaluates the
-profile coarse to fine over its 200 points.
+profile coarse to fine over its 200 points.  So does the Zhang-Stephens grid
+of m points where a row's grid does not fit one block (``n * m >
+ELEMENT_BUDGET``), leaving out only points whose weight is provably exactly
+0.0, so that its fits are those of the whole grid bit for bit.
 """
 
 from __future__ import annotations
@@ -58,11 +61,18 @@ import numpy as np
 # points over k = 100 excesses fits one block
 ELEMENT_BUDGET = 2**15
 
-# the GPD ML scan: log-spaced points, of which every 8th and the last two (so
-# that the coarse profile shows a rise at the end of the scan) are evaluated
+
+def _coarse(points: int) -> np.ndarray:
+    """The grid points that a coarse-to-fine profile evaluates first, in
+    order: every 8th of ``points`` and the last two, so that the coarse
+    profile shows a rise at the end of the grid."""
+    return np.array(sorted({*range(0, points, 8), points - 2, points - 1}))
+
+
+# the GPD ML scan: log-spaced points, of which the coarse ones are evaluated
 # first, then _FINE points around each row's best (see _gpd_mle_rows)
 _SCAN_POINTS = 200
-_COARSE = np.array([*range(0, _SCAN_POINTS, 8), _SCAN_POINTS - 2, _SCAN_POINTS - 1])
+_COARSE = _coarse(_SCAN_POINTS)
 _FINE = 15
 
 __all__ = [
@@ -477,6 +487,17 @@ def estimate_zhang_stephens(excesses) -> FitResult:
     finite for any sample with a positive maximum, unless the grid or
     theta * x overflows, which takes x* below about 1e-308 or x_(n) / x*
     above about 1e308; the fit then fails.
+
+    Where n * m > ELEMENT_BUDGET (from n = 713 on), the grid is evaluated
+    coarse to fine, with the GPD ML scan's coarse points first: every 8th
+    and the last two.  xi(theta) = mean(log1p(theta * x)) is increasing and
+    concave, so between two evaluated neighbours it is no less than their
+    chord; where theta > 0 the profile falls as xi grows, so n * (log(theta
+    / chord) - chord - 1) bounds it from above wherever the chord is positive.
+    Only the points where some row's bound comes within 800 of that row's
+    best coarse value are evaluated next.  exp gives exactly 0.0 below
+    -745.13, so every point left out has weight 0.0 on the whole grid too, and
+    the weights, and the fit, are those of the whole grid bit for bit.
     """
     return _fit_one(EstimatorId.ZHANG_STEPHENS, excesses)
 
@@ -496,7 +517,7 @@ def _zhang_stephens_rows(y: np.ndarray) -> tuple:
             quart = np.where(zero_heavy, np.where(y > 0, y, np.inf).min(axis=1), quart)
         j = np.arange(1, m + 1)
         theta_grid = -1.0 / y[:, -1:] + (np.sqrt(m / (j - 0.5)) - 1.0) / (3.0 * quart[:, None])
-        ll, _ = _profile_loglik(theta_grid, y)
+        ll = _zhang_stephens_loglik(theta_grid, y)
         w = np.exp(ll - ll.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
         # one BLAS dot per row: a sum along an axis would round differently
@@ -511,6 +532,34 @@ def _zhang_stephens_rows(y: np.ndarray) -> tuple:
         (_invalid(xi, sigma), Reason.invalid_estimate),
     )
     return xi, sigma, reason, theta, np.full(len(y), m)
+
+
+def _zhang_stephens_loglik(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The profile log-likelihood of each row's Zhang-Stephens grid
+    ``theta``, with -inf at the points left out, whose weight ``exp(ll - max
+    ll)`` is exactly 0.0 either way: in one call where a row's grid fits one
+    block, else coarse to fine in two (see :func:`estimate_zhang_stephens`).
+    The points of the second call are the union over the rows."""
+    n, m = y.shape[1], theta.shape[1]
+    if n * m <= ELEMENT_BUDGET:
+        return _profile_loglik(theta, y)[0]
+    coarse = _coarse(m)
+    ll = np.full(theta.shape, -np.inf)
+    ll[:, coarse], xi = _profile_loglik(theta[:, coarse], y)
+    rest = np.delete(np.arange(m), coarse)
+    right = np.searchsorted(coarse, rest)
+    left = right - 1
+    t, t_left, t_right = theta[:, rest], theta[:, coarse[left]], theta[:, coarse[right]]
+    chord = xi[:, left] + (xi[:, right] - xi[:, left]) * ((t - t_left) / (t_right - t_left))
+    # an infinite chord comes from an overflowing theta * x, not from xi
+    bounded = (t > 0) & (chord > 0) & (chord < np.inf)
+    bound = np.where(bounded, n * (np.log(t / chord) - chord - 1.0), np.inf)
+    # a NaN bound proves nothing, so only a bound below the margin skips
+    skip = bound < ll.max(axis=1, keepdims=True) - 800.0
+    fine = rest[~skip.all(axis=0)]
+    if fine.size:
+        ll[:, fine] = _profile_loglik(theta[:, fine], y)[0]
+    return ll
 
 
 def _profile_score(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

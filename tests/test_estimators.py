@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tailshape import (
@@ -41,6 +41,7 @@ from tailshape import estimators, fit_all, run_experiments, table_specs
 from tailshape.estimators import (
     _OK,
     ELEMENT_BUDGET,
+    _coarse,
     _excess_checks,
     _first_reason,
     _gpd_mle_rows,
@@ -49,6 +50,7 @@ from tailshape.estimators import (
     _profile_score,
     _profile_xi,
     _pwm_rows,
+    _zhang_stephens_rows,
 )
 from tailshape.pot import excesses, select_threshold
 
@@ -1012,6 +1014,97 @@ class TestRowKernelsMatchOneSampleCode:
         fit = estimate_hill(x, k)
         assert fit.mu_hat == threshold
         assert fit.xi_hat == float(np.mean(np.log(srt[x.size - k :] / threshold)))
+
+
+@st.composite
+def long_samples(draw, n=None):
+    """A sample long enough that its Zhang-Stephens grid does not fit one
+    block (n * m > ELEMENT_BUDGET from n = 713 on), so the grid is evaluated
+    coarse to fine: Pareto, uniform, exponential, exponential rounded to one
+    decimal (ties), or exponential with more than a quarter zeros (the grid
+    falls back to the smallest positive value), at scale 1, 1e-300 or 1e300.
+    n stops at 20 000: the oracle holds all m * n log1p values at once."""
+    if n is None:
+        n = draw(st.integers(min_value=720, max_value=20_000))
+    rng = RngStream(draw(st.integers(min_value=0, max_value=2**32)), n).generator
+    kind = draw(st.sampled_from(["pareto", "uniform", "exponential", "rounded", "zeros"]))
+    if kind == "pareto":
+        x = rng.pareto(draw(st.sampled_from([1.0, 2.0, 4.0])), n)
+    elif kind == "uniform":
+        x = rng.uniform(size=n)
+    else:
+        x = rng.exponential(size=n)
+    if kind == "rounded":
+        x = np.round(x, 1)
+    elif kind == "zeros":
+        x[rng.uniform(size=n) < 0.4] = 0.0
+    x *= draw(st.sampled_from([1.0, 1e-300, 1e300]))
+    assume(np.isfinite(x).all())  # a Pareto maximum above 1.8e8 overflows at 1e300
+    return x
+
+
+class TestZhangStephensCoarseToFine:
+    """Past one block, the Zhang-Stephens grid leaves out the points whose
+    weight is exactly 0.0, and every output stays bit for bit the same."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_samples())
+    def test_bit_for_bit_against_the_full_grid(self, values):
+        fit = estimate_zhang_stephens(values)
+        assert (fit.xi_hat, fit.sigma_hat) == _reference_zhang_stephens(values)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(min_value=720, max_value=5000), st.data())
+    def test_stacked_rows_equal_one_row_fits(self, n, data):
+        # the points evaluated are the union over the rows of a stack, so a
+        # row must not depend on the rows beside it, a row with a NaN included
+        rows = [data.draw(long_samples(n)) for _ in range(data.draw(st.integers(2, 3)))]
+        fits = [estimate_zhang_stephens(row) for row in rows]
+        nan_row = data.draw(st.integers(0, len(rows) - 1))
+        with_nan = [row.copy() for row in rows]
+        with_nan[nan_row][data.draw(st.integers(0, n - 1))] = np.nan
+        for stack, skip in ((rows, None), (with_nan, nan_row)):
+            xi, sigma, reason, theta, _ = _zhang_stephens_rows(np.sort(stack, axis=1))
+            for i, fit in enumerate(fits):
+                if i == skip:
+                    assert reason[i] == Reason.non_finite
+                else:
+                    assert (xi[i], sigma[i], theta[i]) == (
+                        fit.xi_hat, fit.sigma_hat, fit.diagnostics["theta"]
+                    )
+
+    @staticmethod
+    def _columns(monkeypatch, y):
+        """The number of grid points of each _profile_loglik call of the
+        Zhang-Stephens kernel on the sorted rows ``y``."""
+        columns = []
+
+        def counting(theta, x):
+            columns.append(theta.shape[1])
+            return _profile_loglik(theta, x)
+
+        monkeypatch.setattr(estimators, "_profile_loglik", counting)
+        _zhang_stephens_rows(y)
+        return columns
+
+    # a row of 250 values (m = 35), of k = 100 excesses (m = 30), and the
+    # longest row whose grid fits one block (712 * 46 = 32 752)
+    @pytest.mark.parametrize("rows, n", [(1, 250), (40, 250), (1, 100), (300, 100), (1, 712)])
+    def test_one_call_over_the_grid_when_a_row_fits_a_block(self, monkeypatch, rows, n):
+        m = 20 + math.isqrt(n)
+        assert n * m <= ELEMENT_BUDGET
+        y = np.sort(gpd_excesses(1.0, 0.5, rows * n, 42).reshape(rows, n), axis=1)
+        assert self._columns(monkeypatch, y) == [m]
+
+    def test_coarse_points_first_past_one_block(self, monkeypatch):
+        y = np.sort(gpd_excesses(1.0, 0.5, 713, 43))[None, :]
+        assert self._columns(monkeypatch, y)[0] == len(_coarse(46))
+
+    def test_long_sample_evaluates_under_half_its_grid(self, monkeypatch):
+        y = np.sort(sample_gpd(GpdParams(0.0, 1.0, 0.25), 200_000, RngStream(44, 0)))[None, :]
+        columns = self._columns(monkeypatch, y)
+        assert len(columns) == 2 and columns[0] == len(_coarse(467))
+        assert sum(columns) < 467 / 2
 
 
 class TestGpdMleUnderflow:
