@@ -42,6 +42,7 @@ from .montecarlo import (
     DEFAULT_SEED,
     ExperimentSpec,
     TableDocument,
+    _strict_json,
     run_experiments,
     summaries_document,
     table_specs,
@@ -414,7 +415,7 @@ def _print_fit(fit: FitResult, n: int, extra: dict, as_json: bool) -> None:
             "diagnostics": fit.diagnostics,
         }
         payload.update(extra)
-        print(json.dumps(payload))
+        print(_strict_json(payload))
         return
     print(f"estimator = {fit.estimator.value}")
     print(f"n = {n}")

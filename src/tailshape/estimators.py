@@ -39,11 +39,11 @@ one buffer per thread, so their memory does not grow with the number of rows
 or the sample size.  A call of at least 4 blocks shares them with a helper
 thread that it starts and joins, so no thread runs between calls; each (row,
 grid point) sum is one reduction whichever thread forms it, so the results
-do not depend on the number of cores.  The GPD ML scan evaluates the
-profile coarse to fine over its 200 points.  So does the Zhang-Stephens grid
-of m points where a row's grid does not fit one block (``n * m >
-ELEMENT_BUDGET``), leaving out only points whose weight is provably exactly
-0.0, so that its fits are those of the whole grid bit for bit.
+do not depend on the number of cores.  The GPD ML scan and the Zhang-Stephens
+grid past one block are evaluated coarse to fine by one rule: each row leaves
+out its points whose chord bound is below its best coarse value by more than
+a margin, 800 for Zhang-Stephens and a rounding margin for GPD ML, so that
+the fits are those of the whole grid bit for bit (:func:`_pruned_profile`).
 """
 
 from __future__ import annotations
@@ -68,12 +68,6 @@ def _coarse(points: int) -> np.ndarray:
     profile shows a rise at the end of the grid."""
     return np.array(sorted({*range(0, points, 8), points - 2, points - 1}))
 
-
-# the GPD ML scan: log-spaced points, of which the coarse ones are evaluated
-# first, then _FINE points around each row's best (see _gpd_mle_rows)
-_SCAN_POINTS = 200
-_COARSE = _coarse(_SCAN_POINTS)
-_FINE = 15
 
 __all__ = [
     "EstimatorId",
@@ -472,6 +466,47 @@ def _profile_loglik(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.nd
     return ll, xi
 
 
+def _pruned_profile(theta: np.ndarray, x: np.ndarray, margin) -> np.ndarray:
+    """The profile log-likelihood of each row's grid ``theta``, with -inf at
+    the points whose bound is below the row's best coarse value minus
+    ``margin`` (a number, or a column of one per row).
+
+    The coarse points (:func:`_coarse`) go first.  xi(theta) is increasing
+    and concave, so between two coarse neighbours it is no less than their
+    chord; where theta > 0 the profile falls as xi grows, so n * (log(theta /
+    chord) - chord - 1) bounds it from above wherever the chord is positive.
+    Each row then evaluates only its own points whose bound is not below
+    that, and all of them if it has no finite coarse value.  A computed
+    value or bound is within 2^-40 * n * S of the exact one, S =
+    |log(theta / xi)| + xi + 1: far more than the few ulps of log1p and log
+    and the rounding of a pairwise sum.  The (row, point) pairs are evaluated
+    as one stack of one-point rows, one row's as its columns, so that a long
+    sample is not copied once per point.
+    """
+    n, points = x.shape[1], theta.shape[1]
+    coarse = _coarse(points)
+    ll = np.full(theta.shape, -np.inf)
+    tc = theta[:, coarse]
+    ll[:, coarse], xi = _profile_loglik(tc, x)
+    rest = np.delete(np.arange(points), coarse)
+    left = np.searchsorted(coarse, rest) - 1
+    t = theta[:, rest]
+    with np.errstate(all="ignore"):
+        slope = np.diff(xi, axis=1) / np.diff(tc, axis=1)
+        chord = xi[:, left] + slope[:, left] * (t - tc[:, left])
+        # an infinite chord comes from an overflowing theta * x, not from xi
+        bounded = (t > 0) & (chord > 0) & (chord < np.inf)
+        bound = np.where(bounded, n * (np.log(t / chord) - chord - 1.0), np.inf)
+        # a NaN bound proves nothing, so only a bound below the margin skips
+        rows, cols = np.nonzero(~(bound < ll[:, coarse].max(axis=1, keepdims=True) - margin))
+    cols = rest[cols]
+    if len(x) > 1:
+        ll[rows, cols] = _profile_loglik(theta[rows, cols][:, None], x[rows])[0][:, 0]
+    elif cols.size:
+        ll[0, cols] = _profile_loglik(theta[:, cols], x)[0][0]
+    return ll
+
+
 def estimate_zhang_stephens(excesses) -> FitResult:
     """Empirical-Bayes fit of the zero-location GPD.
 
@@ -488,16 +523,10 @@ def estimate_zhang_stephens(excesses) -> FitResult:
     theta * x overflows, which takes x* below about 1e-308 or x_(n) / x*
     above about 1e308; the fit then fails.
 
-    Where n * m > ELEMENT_BUDGET (from n = 713 on), the grid is evaluated
-    coarse to fine, with the GPD ML scan's coarse points first: every 8th
-    and the last two.  xi(theta) = mean(log1p(theta * x)) is increasing and
-    concave, so between two evaluated neighbours it is no less than their
-    chord; where theta > 0 the profile falls as xi grows, so n * (log(theta
-    / chord) - chord - 1) bounds it from above wherever the chord is positive.
-    Only the points where some row's bound comes within 800 of that row's
-    best coarse value are evaluated next.  exp gives exactly 0.0 below
-    -745.13, so every point left out has weight 0.0 on the whole grid too, and
-    the weights, and the fit, are those of the whole grid bit for bit.
+    Where n * m > ELEMENT_BUDGET (from n = 713 on), each row leaves out the
+    points whose chord bound is more than 800 below its best coarse value
+    (:func:`_pruned_profile`): exp gives exactly 0.0 below -745.13, and the
+    54 left over exceed any rounding, so the fit is the whole grid's.
     """
     return _fit_one(EstimatorId.ZHANG_STEPHENS, excesses)
 
@@ -517,7 +546,8 @@ def _zhang_stephens_rows(y: np.ndarray) -> tuple:
             quart = np.where(zero_heavy, np.where(y > 0, y, np.inf).min(axis=1), quart)
         j = np.arange(1, m + 1)
         theta_grid = -1.0 / y[:, -1:] + (np.sqrt(m / (j - 0.5)) - 1.0) / (3.0 * quart[:, None])
-        ll = _zhang_stephens_loglik(theta_grid, y)
+        whole = n * m <= ELEMENT_BUDGET  # a row's grid fits one block
+        ll = _profile_loglik(theta_grid, y)[0] if whole else _pruned_profile(theta_grid, y, 800.0)
         w = np.exp(ll - ll.max(axis=1, keepdims=True))
         w /= w.sum(axis=1, keepdims=True)
         # one BLAS dot per row: a sum along an axis would round differently
@@ -532,34 +562,6 @@ def _zhang_stephens_rows(y: np.ndarray) -> tuple:
         (_invalid(xi, sigma), Reason.invalid_estimate),
     )
     return xi, sigma, reason, theta, np.full(len(y), m)
-
-
-def _zhang_stephens_loglik(theta: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The profile log-likelihood of each row's Zhang-Stephens grid
-    ``theta``, with -inf at the points left out, whose weight ``exp(ll - max
-    ll)`` is exactly 0.0 either way: in one call where a row's grid fits one
-    block, else coarse to fine in two (see :func:`estimate_zhang_stephens`).
-    The points of the second call are the union over the rows."""
-    n, m = y.shape[1], theta.shape[1]
-    if n * m <= ELEMENT_BUDGET:
-        return _profile_loglik(theta, y)[0]
-    coarse = _coarse(m)
-    ll = np.full(theta.shape, -np.inf)
-    ll[:, coarse], xi = _profile_loglik(theta[:, coarse], y)
-    rest = np.delete(np.arange(m), coarse)
-    right = np.searchsorted(coarse, rest)
-    left = right - 1
-    t, t_left, t_right = theta[:, rest], theta[:, coarse[left]], theta[:, coarse[right]]
-    chord = xi[:, left] + (xi[:, right] - xi[:, left]) * ((t - t_left) / (t_right - t_left))
-    # an infinite chord comes from an overflowing theta * x, not from xi
-    bounded = (t > 0) & (chord > 0) & (chord < np.inf)
-    bound = np.where(bounded, n * (np.log(t / chord) - chord - 1.0), np.inf)
-    # a NaN bound proves nothing, so only a bound below the margin skips
-    skip = bound < ll.max(axis=1, keepdims=True) - 800.0
-    fine = rest[~skip.all(axis=0)]
-    if fine.size:
-        ll[:, fine] = _profile_loglik(theta[:, fine], y)[0]
-    return ll
 
 
 def _profile_score(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -598,22 +600,24 @@ def estimate_gpd_mle(excesses) -> FitResult:
     Following Grimshaw (1993), the fit is the root of the profile score in
     theta = xi/sigma on (0, 1e4/mean(x)].  200 log-spaced scan points pick the
     highest profile likelihood and bracket it by its neighbours.  The scan is
-    coarse to fine: it evaluates every 8th point and the last two, then the 15
-    points around the best of them, and all 200 only where the coarse profile
-    does not rise and then fall.  It picks the point that evaluating all 200
-    picks, unless a peak narrower than 8 points hides between two coarse
-    points.  A safeguarded Newton iteration in log(theta), started at the best
-    scan point with the analytic derivative of the score, then refines the
-    root: every step shrinks the bracket by the sign of the score, and a step
-    that would leave the bracket (or meets a non-negative derivative) is
-    replaced by the bracket midpoint.  It stops once the Newton step or the
-    bracket is at most 1e-13 in log(theta), or one float wide at extreme data
-    scales.  When the profile is still rising at the upper end of the scan
-    the maximum does not exist (theta diverging); the boundary fit is
-    returned with ``converged`` set to 0.0 in the diagnostics rather than
-    silently reporting an interior optimum.  A sample whose mean is so small
-    (below about 1e-304) that 1e4/mean(x) overflows has no scan range and
-    fails, as does one whose mean overflows.
+    coarse to fine (:func:`_pruned_profile`) with the rounding margin
+    1e-10 * n * (|log(mean(x))| + 64).  On the scan theta * mean(x) lies in
+    [1e-8, 1e4], so xi < 9.3, and log(theta / xi) and log(theta / chord) lie
+    within log(1e12 + 1e4 * n) of -log(mean(x)): S stays below
+    |log(mean(x))| + 64 for n < 2^53, and the margin above twice the
+    rounding, so the scan picks the point that evaluating all 200 picks, ties
+    included.  A safeguarded Newton iteration in log(theta), started at the best scan point
+    with the analytic derivative of the score, then refines the root: every
+    step shrinks the bracket by the sign of the score, and a step that would
+    leave the bracket (or meets a non-negative derivative) is replaced by the
+    bracket midpoint.  It stops once the Newton step or the bracket is at most
+    1e-13 in log(theta), or one float wide at extreme data scales.  When the
+    profile is still rising at the upper end of the scan the maximum does not
+    exist (theta diverging); the boundary fit is returned with ``converged``
+    set to 0.0 in the diagnostics rather than silently reporting an interior
+    optimum.  A sample whose mean is so small (below about 1e-304) that
+    1e4/mean(x) overflows has no scan range and fails, as does one whose mean
+    overflows.
 
     ``optimizer_iterations`` counts the score evaluations of the refinement,
     one per Newton or bisection step; it is 0 when the scan alone decides the
@@ -646,21 +650,8 @@ def _gpd_mle_rows(x: np.ndarray) -> tuple[np.ndarray, ...]:
     # a row without a scan range is scanned over NaN: NaN estimates, no refinement
     xbar = np.where(reason == _OK, mean, np.nan)
     theta_lo, theta_hi = 1e-8 / xbar, 1e4 / xbar
-    grid = np.geomspace(theta_lo, theta_hi, _SCAN_POINTS, axis=1)
-    # coarse to fine, with -inf at the points not evaluated: the coarse points,
-    # then the 15 around the best of them.  Unless a peak hides between two
-    # coarse points, those hold the best of all points when the coarse profile
-    # rises strictly and then falls strictly; a row whose coarse profile does
-    # not (two peaks, or a tie) is evaluated at every point
-    ll = np.full(grid.shape, -np.inf)
-    ll[:, _COARSE] = coarse = _profile_loglik(grid[:, _COARSE], x)[0]
-    start = np.minimum(np.maximum(ll.argmax(axis=1) - _FINE // 2, 0), _SCAN_POINTS - _FINE)
-    fine = rows[:, None], start[:, None] + np.arange(_FINE)
-    ll[fine] = _profile_loglik(grid[fine], x)[0]
-    rises, falls = coarse[:, 1:] >= coarse[:, :-1], coarse[:, 1:] <= coarse[:, :-1]
-    full = np.flatnonzero((np.logical_or.accumulate(falls, axis=1) & rises).any(axis=1))
-    if full.size:
-        ll[full] = _profile_loglik(grid[full], x[full])[0]
+    grid = np.geomspace(theta_lo, theta_hi, 200, axis=1)
+    ll = _pruned_profile(grid, x, 1e-10 * x.shape[1] * (np.abs(np.log(xbar)) + 64.0)[:, None])
     i = ll.argmax(axis=1)
     last = grid.shape[1] - 1
     converged = ~((i == last) & (ll[:, -1] > ll[:, -2]))

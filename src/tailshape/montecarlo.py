@@ -612,7 +612,13 @@ class TableDocument:
         return buf.getvalue()
 
     def to_json(self) -> str:
-        return json.dumps({"table": self.name, "columns": self.columns, "rows": self.rows})
+        return _strict_json({"table": self.name, "columns": self.columns, "rows": self.rows})
+
+
+def _strict_json(payload) -> str:
+    """``payload`` as RFC 8259 JSON: a NaN or infinite float becomes null."""
+    lenient = json.loads(json.dumps(payload), parse_constant=lambda token: None)
+    return json.dumps(lenient, allow_nan=False)
 
 
 def _result_rows(result: ExperimentResult, table: str, stats) -> list[dict]:

@@ -531,6 +531,45 @@ def gpd_stacks(draw):
     return np.stack(rows)
 
 
+def _scan_profile(x):
+    """The profile log-likelihood of the sample ``x`` at all 200 scan points."""
+    xbar = x.mean()
+    return _profile_loglik(np.geomspace(1e-8 / xbar, 1e4 / xbar, 200)[None, :], x[None, :])[0][0]
+
+
+# spread values and a cluster of small ones, whose scale sets the height of a
+# narrow peak at large theta against a broad one at small theta
+TWO_PEAKS = np.array([
+    1.0, 2.0, 2.0, 4.0, 39.0, 64.0, 147.0, 190.0, 198.0, 209.0, 300.0, 305.0, 307.0, 332.0,
+    336.0, 343.0, 374.0, 388.0, 485.0, 525.0, 640.0, 649.0, 734.0, 925.0, 930.0, 939.0, 946.0,
+])
+CLUSTER = np.array([3.75, 1.0, 1.0, 1.0, 1.0, 0.015625])
+
+
+@st.composite
+def narrow_peak_stacks(draw):
+    """Stacks of 12 rows, each the spread values of TWO_PEAKS jittered by up
+    to 10% and the small cluster, scaled by bisection so that the profile's
+    best point beyond scan point 128 lies above its best point before it by
+    at most 1e-4; then the whole row scaled by 1, 1e-200 or 1e200."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spread = draw(st.floats(0.0, 0.1))
+    rows = []
+    for _ in range(12):
+        values = TWO_PEAKS * np.exp(rng.normal(0.0, spread, TWO_PEAKS.size))
+        low, high = 1e-6, 1e2
+        for _ in range(80):
+            scale = math.sqrt(low * high)
+            row = np.concatenate([values, CLUSTER * scale])
+            ll = _scan_profile(row)
+            gap = ll[128:].max() - ll[:128].max()
+            if 0.0 < gap <= 1e-4:
+                break
+            low, high = (scale, high) if gap > 0 else (low, scale)
+        rows.append(row * draw(st.sampled_from([1.0, 1e-200, 1e200])))
+    return np.stack(rows)
+
+
 class TestGpdMleRowKernel:
     """The GPD ML row kernel against the 1-D solver it replaced."""
 
@@ -595,11 +634,24 @@ class TestGpdMleRowKernel:
     def test_profile_with_two_peaks(self):
         # the higher of two near-equal peaks lies between coarse points that
         # rank it below the other (found by the hypothesis test above)
-        row = [1.0, 2.0, 2.0, 4.0, 39.0, 64.0, 147.0, 190.0, 198.0, 209.0, 300.0, 305.0, 307.0,
-               332.0, 336.0, 343.0, 374.0, 388.0, 485.0, 525.0, 640.0, 649.0, 734.0, 925.0,
-               930.0, 939.0, 946.0, 1.875, 0.5, 0.5, 0.5, 0.5, 0.0078125]
-        converged, theta_times_mean, _ = self._check(np.array([row]))
+        row = np.concatenate([TWO_PEAKS, CLUSTER * 0.5])
+        converged, theta_times_mean, _ = self._check(row[None, :])
         assert converged[0] and theta_times_mean[0] > 1.0
+
+    @settings(max_examples=20, deadline=None)
+    @given(narrow_peak_stacks())
+    def test_narrow_peak_between_coarse_points(self, stack):
+        # a row whose best scan point lies between coarse points, 8 or more
+        # points from the best of them: the coarse points around the peak
+        # rank it below a broader one
+        coarse, narrow = _coarse(200), 0
+        for row in stack:
+            ll = _scan_profile(row)
+            best, best_coarse = ll.argmax(), coarse[ll[coarse].argmax()]
+            narrow += best not in coarse and abs(best - best_coarse) >= 8
+        assert narrow >= 1
+        fit, expected = _gpd_mle_rows(stack), _full_scan_gpd_mle_rows(stack)
+        assert [v.tobytes() for v in fit] == [v.tobytes() for v in expected]
 
     def test_table_rows_equal_full_scan(self, monkeypatch):
         # every excess stack of one table7 + table8 pass
@@ -1056,8 +1108,8 @@ class TestZhangStephensCoarseToFine:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=720, max_value=5000), st.data())
     def test_stacked_rows_equal_one_row_fits(self, n, data):
-        # the points evaluated are the union over the rows of a stack, so a
-        # row must not depend on the rows beside it, a row with a NaN included
+        # each row of a stack picks its own points to evaluate, so a row must
+        # not depend on the rows beside it, a row with a NaN included
         rows = [data.draw(long_samples(n)) for _ in range(data.draw(st.integers(2, 3)))]
         fits = [estimate_zhang_stephens(row) for row in rows]
         nan_row = data.draw(st.integers(0, len(rows) - 1))
@@ -1099,6 +1151,34 @@ class TestZhangStephensCoarseToFine:
     def test_coarse_points_first_past_one_block(self, monkeypatch):
         y = np.sort(gpd_excesses(1.0, 0.5, 713, 43))[None, :]
         assert self._columns(monkeypatch, y)[0] == len(_coarse(46))
+
+    def test_a_nan_row_leaves_the_other_rows_points_alone(self, monkeypatch):
+        # a row whose profile is -inf everywhere proves no point skippable,
+        # and evaluates all of them, but picks points for itself only
+        n, m = 20_000, 20 + math.isqrt(20_000)
+        y = np.sort(gpd_excesses(1.0, 0.5, 2 * n, 45).reshape(2, n), axis=1)
+        nan_row = y[0].copy()
+        nan_row[-1] = np.nan
+        pairs = self._pairs(monkeypatch, y)
+        assert (pairs < m).all()
+        assert self._pairs(monkeypatch, np.vstack([y, nan_row]))[:2].tolist() == pairs.tolist()
+        assert [self._pairs(monkeypatch, row[None, :])[0] for row in y] == pairs.tolist()
+
+    @staticmethod
+    def _pairs(monkeypatch, y):
+        """The number of (row, grid point) pairs of each of the distinct
+        sorted rows ``y`` that the Zhang-Stephens kernel evaluates."""
+        index = {row.tobytes(): i for i, row in enumerate(y)}
+        pairs = np.zeros(len(y), dtype=int)
+
+        def counting(theta, x):
+            for points, row in zip(theta, x):
+                pairs[index[row.tobytes()]] += points.size
+            return _profile_loglik(theta, x)
+
+        monkeypatch.setattr(estimators, "_profile_loglik", counting)
+        _zhang_stephens_rows(y)
+        return pairs
 
     def test_long_sample_evaluates_under_half_its_grid(self, monkeypatch):
         y = np.sort(sample_gpd(GpdParams(0.0, 1.0, 0.25), 200_000, RngStream(44, 0)))[None, :]

@@ -1,9 +1,13 @@
 """Tests for the replication engine, metrics and table documents."""
 
 import csv
+import inspect
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -517,6 +521,59 @@ class TestTableRegistryPin:
     @pytest.mark.parametrize("name", TABLE_NAMES)
     def test_emitted_csv(self, table_pin, table_pin_actual, name):
         _assert_csv_close(table_pin_actual[name]["csv"], table_pin[name]["csv"])
+
+
+# NumPy runs its baseline code, not its AVX-512 code, under this setting
+BASELINE_DISPATCH = {"NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+
+
+def _two_path_cells():
+    # one table1 cell (ZS, PWM and both transforms) and one table7 cell (ZS,
+    # GPD ML, Hill and transformed ZS)
+    return [table_specs("table1", m=200)[0], table_specs("table7", m=20)[0]]
+
+
+def _cell_summaries(results):
+    return [[[s.estimator.value, s.mse, s.bias, s.rel_eff, s.mc_se_mse, s.mc_se_bias,
+              s.variance, s.failures, s.m_used, [list(r) for r in s.reasons]]
+             for s in result.summaries] for result in results]
+
+
+class TestTwoDispatchPaths:
+    """The tables' numbers hold to a relative 1e-12 whichever code NumPy
+    picks for the CPU: its ``log1p``, ``exp`` and ``pow`` give other last
+    bits without AVX-512, so the output bytes hold for one NumPy build and
+    CPU dispatch only."""
+
+    def test_cells_match_the_baseline_dispatch(self):
+        code = (
+            "import json\n"
+            "from tailshape import run_experiments, table_specs\n"
+            + inspect.getsource(_two_path_cells)
+            + inspect.getsource(_cell_summaries)
+            + "print(json.dumps(_cell_summaries(run_experiments(_two_path_cells()))))\n"
+        )
+        env = {
+            **os.environ, **BASELINE_DISPATCH,
+            "PYTHONPATH": str(Path(montecarlo.__file__).parents[1]),
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        baseline = json.loads(proc.stdout)
+        native = json.loads(json.dumps(_cell_summaries(run_experiments(_two_path_cells()))))
+        assert [[s[0] for s in cell] for cell in native] == [
+            ["zhang_stephens", "transformed_zs", "pwm", "transformed_pwm"],
+            ["zhang_stephens", "gpd_mle", "hill", "transformed_zs"],
+        ]
+        for cell, baseline_cell in zip(native, baseline):
+            assert len(cell) == len(baseline_cell)
+            for summary, other in zip(cell, baseline_cell):
+                # estimator, failures, m_used and reasons exactly
+                assert summary[:1] + summary[7:] == other[:1] + other[7:]
+                for value, other_value in zip(summary[1:7], other[1:7]):
+                    assert value == pytest.approx(other_value, rel=1e-12, abs=0, nan_ok=True)
 
 
 if __name__ == "__main__":
