@@ -17,7 +17,10 @@ Five estimators are provided:
 
 All estimators are pure functions of their input sample and are safe to call
 concurrently: a call keeps its buffers, output and helper thread (below) to
-itself, so k concurrent callers run at most 2k threads.
+itself, so k concurrent callers run at most 2k threads.  The draws of a
+peaks-over-threshold chunk (:func:`tailshape.montecarlo._draw_pot`) share
+one helper the same way, through :func:`_start_helper`, and a replication
+range draws and fits one after the other, so it too runs at most 2 threads.
 
 Each estimator has one numerical implementation, a private row kernel that
 fits a 2-D array of equal-length samples, one sample per row, and returns
@@ -378,7 +381,9 @@ def _profile_xi(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     out = np.empty((rows, grid))
     size = min(rows, row_step) * per_block * n
     todo = iter(blocks)
-    joins = [_start_helper(todo, theta, x, out, size) for _ in range(_helpers(len(blocks)))]
+    joins = [
+        _start_helper(_xi_blocks, todo, theta, x, out, size) for _ in range(_helpers(len(blocks)))
+    ]
     try:
         _xi_blocks(todo, theta, x, out, size)
     finally:
@@ -401,19 +406,19 @@ def _xi_blocks(todo, theta, x, out, size: int) -> None:
         np.add.reduce(np.log1p(t, out=t), axis=2, out=out[a:b, g:h])
 
 
-def _start_helper(*args):
-    """Run :func:`_xi_blocks` with ``args`` on a new thread, under the
-    caller's floating-point error state (a new thread does not share it), and
-    return a function that waits for the thread to end and re-raises its
-    exception, if any.  ``_thread`` does not wait, as ``threading.Thread.start``
-    does, for the new thread to report that it has started."""
+def _start_helper(work, *args):
+    """Run ``work(*args)`` on a new thread, under the caller's floating-point
+    error state (a new thread does not share it), and return a function that
+    waits for the thread to end and re-raises its exception, if any.
+    ``_thread`` does not wait, as ``threading.Thread.start`` does, for the new
+    thread to report that it has started."""
     err, done, failed = np.geterr(), _thread.allocate_lock(), []
     done.acquire()
 
     def run():
         try:
             with np.errstate(**err):
-                _xi_blocks(*args)
+                work(*args)
         except BaseException as exc:  # raised in the caller by join()
             failed.append(exc)
         finally:
@@ -436,11 +441,11 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _helpers(blocks: int) -> int:
-    """Helper threads for a call of ``blocks`` blocks: none below 4 blocks,
+def _helpers(items: int) -> int:
+    """Helper threads for a call of ``items`` work items: none below 4 items,
     whose work costs less than waking a helper, or on a single core, else
     one (more have not been measured on a machine with more cores)."""
-    return 1 if blocks >= 4 and _cores() > 1 else 0
+    return 1 if items >= 4 and _cores() > 1 else 0
 
 
 def _profile_loglik(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -476,7 +481,9 @@ def _pruned_profile(theta: np.ndarray, x: np.ndarray, margin) -> np.ndarray:
     chord; where theta > 0 the profile falls as xi grows, so n * (log(theta /
     chord) - chord - 1) bounds it from above wherever the chord is positive.
     Each row then evaluates only its own points whose bound is not below
-    that, and all of them if it has no finite coarse value.  A computed
+    that, and all of them if it has no finite coarse value, but none whose
+    theta is not finite: the profile there is -inf without evaluating it (a
+    failed GPD ML row is scanned over a NaN grid).  A computed
     value or bound is within 2^-40 * n * S of the exact one, S =
     |log(theta / xi)| + xi + 1: far more than the few ulps of log1p and log
     and the rounding of a pairwise sum.  The (row, point) pairs are evaluated
@@ -498,7 +505,8 @@ def _pruned_profile(theta: np.ndarray, x: np.ndarray, margin) -> np.ndarray:
         bounded = (t > 0) & (chord > 0) & (chord < np.inf)
         bound = np.where(bounded, n * (np.log(t / chord) - chord - 1.0), np.inf)
         # a NaN bound proves nothing, so only a bound below the margin skips
-        rows, cols = np.nonzero(~(bound < ll[:, coarse].max(axis=1, keepdims=True) - margin))
+        keep = ~(bound < ll[:, coarse].max(axis=1, keepdims=True) - margin) & np.isfinite(t)
+        rows, cols = np.nonzero(keep)
     cols = rest[cols]
     if len(x) > 1:
         ll[rows, cols] = _profile_loglik(theta[rows, cols][:, None], x[rows])[0][:, 0]

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tailshape import GpdParams, ParetoParams, RngStream, pareto_quantile, sample_gpd
-from tailshape.cli import _SOURCES, DataError, main, read_data_file
+from tailshape.cli import _METHODS, _SOURCES, DataError, main, read_data_file
 
 
 def write(path, text):
@@ -960,6 +960,76 @@ class TestUsage:
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 1
+
+
+# zeros, subnormals, 1e+-300, +-1.7e308 and ordinary reals of either sign
+_EDGE = st.sampled_from(
+    [0.0, -0.0, 5e-324, 1e-310, 2.2e-308, 1e-300, -1e-300, 1e300, -1e300, 1.7e308, -1.7e308]
+)
+_REAL = st.floats(-1e3, 1e3)
+
+
+@st.composite
+def edge_samples(draw):
+    """2-9 values from zeros, subnormals, 1e+-300, +-1.7e308 and ordinary
+    reals, some of them near ties: a value a few ulps from another one."""
+    values = draw(st.lists(st.one_of(_EDGE, _REAL), min_size=2, max_size=9))
+    for i in draw(st.lists(st.integers(1, len(values) - 1), max_size=3)):
+        values[i] = values[i - 1]
+        for _ in range(draw(st.integers(0, 3))):
+            values[i] = math.nextafter(values[i], draw(st.sampled_from([-math.inf, math.inf])))
+    return values
+
+
+def contract_outcome(argv, as_json=False):
+    """Run ``main(argv)`` and check the exit-code contract: an exit code in
+    {0, 1, 2, 3}; a failure writes nothing to stdout and ends stderr with its
+    one ``error: ...`` line; JSON output is strict RFC 8259 JSON."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3), argv
+    if code:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "", argv
+        assert err.getvalue().endswith("\n") and lines[-1].startswith("error: "), argv
+        assert sum(line.startswith("error:") for line in lines) == 1, argv
+    elif as_json:
+        strict_json(out.getvalue())
+    return code
+
+
+class TestContract:
+    """Whatever the data and flags, the CLI exits by its documented codes."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        values=edge_samples(),
+        method=st.sampled_from(sorted(_METHODS)),
+        k=st.none() | st.integers(1, 9),
+        as_json=st.booleans(),
+    )
+    @example(values=[0.001, 2.0, 5.0, 0.001], method="transformed-zs", k=None, as_json=True)
+    def test_estimate(self, tmp_path_factory, values, method, k, as_json):
+        path = tmp_path_factory.getbasetemp() / "contract.dat"
+        path.write_text("".join(f"{v!r}\n" for v in values), encoding="utf-8")
+        argv = ["estimate", "--data", str(path), "--method", method]
+        argv += ([] if k is None else ["--k", str(k)]) + (["--json"] if as_json else [])
+        contract_outcome(argv, as_json)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        params=st.lists(st.one_of(_EDGE, _REAL, st.sampled_from([math.nan, math.inf])),
+                        min_size=3, max_size=3),
+        probs=st.lists(
+            st.sampled_from(["0", "0.5", "0.99", "1", "-0.1", "5e-324", "nan", "inf", "x"]),
+            min_size=1, max_size=3,
+        ),
+    )
+    def test_quantile(self, params, probs):
+        mu, sigma, xi = (f"{v!r}" for v in params)
+        contract_outcome(["quantile", f"--mu={mu}", f"--sigma={sigma}", f"--xi={xi}",
+                          "--p", ",".join(probs)])
 
 
 if __name__ == "__main__":

@@ -669,6 +669,43 @@ class TestGpdMleRowKernel:
             fit, expected = _gpd_mle_rows(stack), _full_scan_gpd_mle_rows(stack)
             assert [v.tobytes() for v in fit] == [v.tobytes() for v in expected]
 
+    @staticmethod
+    def _fine_pairs(monkeypatch, x):
+        """The number of (row, scan point) pairs of each of the distinct rows
+        ``x`` that the GPD ML kernel evaluates past its coarse points."""
+        index = {row.tobytes(): i for i, row in enumerate(x)}
+        pairs, calls = np.zeros(len(x), dtype=int), []
+
+        def counting(theta, rows):
+            calls.append(theta.shape)
+            if len(calls) > 1:  # the first call evaluates the coarse points
+                for points, row in zip(theta, rows):
+                    pairs[index[row.tobytes()]] += points.size
+            return _profile_loglik(theta, rows)
+
+        monkeypatch.setattr(estimators, "_profile_loglik", counting)
+        _gpd_mle_rows(x)
+        assert calls[0] == (len(x), len(_coarse(200)))
+        return pairs
+
+    @pytest.mark.parametrize("failed", ["zeros", "nan"])
+    def test_a_failed_row_evaluates_no_fine_point(self, monkeypatch, failed):
+        # a failed row is scanned over a NaN grid, whose profile is -inf
+        # without evaluating it: the row adds no pair past its coarse points,
+        # and the other rows keep theirs and their fits
+        stack = gpd_excesses(1.0, 0.5, 300, 46).reshape(3, 100)
+        nan_row = np.where(np.arange(100) == 7, np.nan, stack[0])
+        row = np.zeros(100) if failed == "zeros" else nan_row
+        with_failed = np.vstack([stack, row])
+        pairs = self._fine_pairs(monkeypatch, stack)
+        assert (pairs > 0).all()
+        assert self._fine_pairs(monkeypatch, with_failed).tolist() == pairs.tolist() + [0]
+        fit, alone = _gpd_mle_rows(with_failed), _gpd_mle_rows(stack)
+        assert fit[2][-1] != Reason.ok
+        assert [v[:3].tobytes() for v in fit] == [v.tobytes() for v in alone]
+        expected = _full_scan_gpd_mle_rows(with_failed)
+        assert [v.tobytes() for v in fit] == [v.tobytes() for v in expected]
+
 
 def _full_scan_gpd_mle_rows(x):
     """Oracle: the GPD ML row kernel as written before its coarse-to-fine scan,
@@ -1154,14 +1191,17 @@ class TestZhangStephensCoarseToFine:
 
     def test_a_nan_row_leaves_the_other_rows_points_alone(self, monkeypatch):
         # a row whose profile is -inf everywhere proves no point skippable,
-        # and evaluates all of them, but picks points for itself only
+        # but picks points for itself only
         n, m = 20_000, 20 + math.isqrt(20_000)
         y = np.sort(gpd_excesses(1.0, 0.5, 2 * n, 45).reshape(2, n), axis=1)
         nan_row = y[0].copy()
         nan_row[-1] = np.nan
         pairs = self._pairs(monkeypatch, y)
         assert (pairs < m).all()
-        assert self._pairs(monkeypatch, np.vstack([y, nan_row]))[:2].tolist() == pairs.tolist()
+        # the NaN row's grid is NaN: its profile is -inf past the coarse points
+        # without evaluating them
+        with_nan = self._pairs(monkeypatch, np.vstack([y, nan_row]))
+        assert with_nan.tolist() == pairs.tolist() + [len(_coarse(m))]
         assert [self._pairs(monkeypatch, row[None, :])[0] for row in y] == pairs.tolist()
 
     @staticmethod

@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -34,10 +35,11 @@ from tailshape import (
     summaries_document,
     table_specs,
 )
-from tailshape import distributions, montecarlo
+from tailshape import distributions, estimators, montecarlo
 from tailshape.distributions import _StreamBlock
 
 import sampler_oracle
+from test_estimators import _os_threads, _os_threads_down_to
 
 SPEC = ExperimentSpec(GpdSource(GpdParams(1.0, 1.0, 0.5)), n=60, m=40, seed=123)
 
@@ -521,6 +523,154 @@ class TestTableRegistryPin:
     @pytest.mark.parametrize("name", TABLE_NAMES)
     def test_emitted_csv(self, table_pin, table_pin_actual, name):
         _assert_csv_close(table_pin_actual[name]["csv"], table_pin[name]["csv"])
+
+
+def _sub_chunks(n, rows):
+    """The sub-chunks that _draw_pot draws ``rows`` samples of n values in."""
+    per_draw = max(1, montecarlo.ELEMENT_BUDGET // (8 * n))
+    return -(-rows // per_draw)
+
+
+class TestThreadedPotDraws:
+    """A POT chunk of 4 or more sub-chunks shares its draws with one helper
+    thread; row i comes from stream i whichever thread draws it."""
+
+    # folded Student t and stable, and an unfolded Student t; at n = 1000 a
+    # sub-chunk holds 4 rows, at n = 2500 one
+    POT_SOURCES = [
+        (StudentTSource(2.0), True), (StableSource(1.5), True), (StudentTSource(3.0), False)
+    ]
+
+    @pytest.mark.parametrize("n, m", [(1000, 12), (1000, 41), (2500, 3), (2500, 40)])
+    @pytest.mark.parametrize("source, fold", POT_SOURCES, ids=["t-folded", "stable-folded", "t"])
+    def test_one_and_two_cores_give_the_same_bytes(self, monkeypatch, source, fold, n, m):
+        spec = ExperimentSpec(source, n=n, m=m, k=100, seed=17, fold_absolute=fold)
+        runs = []
+        for cores in (1, 2):
+            monkeypatch.setattr(estimators, "_cores", lambda: cores)
+            slots, reasons = montecarlo._replicate_range(spec, 0, m)
+            runs.append([(slots[e].tobytes(), reasons[e].tobytes()) for e in spec.estimator_set])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("n, rows", [(2500, 1), (2500, 3), (2500, 4), (2500, 20), (1000, 12),
+                                         (1000, 13)])
+    def test_one_helper_from_four_sub_chunks(self, monkeypatch, cores, n, rows):
+        monkeypatch.setattr(estimators, "_cores", lambda: cores)
+        started, start_helper = [], estimators._start_helper
+        monkeypatch.setattr(
+            estimators, "_start_helper", lambda *args: started.append(1) or start_helper(*args)
+        )
+        spec = ExperimentSpec(StudentTSource(2.0), n=n, m=rows, k=100, fold_absolute=True)
+        montecarlo._draw_pot(spec, _StreamBlock.keyed(spec.seed, range(rows)))
+        assert len(started) == (1 if cores == 2 and _sub_chunks(n, rows) >= 4 else 0)
+
+    @staticmethod
+    def _helper_takes_one(monkeypatch, on_helper):
+        """Patch the sub-chunk reduction so that the caller's first sub-chunk
+        waits until the helper has taken one, on which it runs ``on_helper``."""
+        monkeypatch.setattr(estimators, "_cores", lambda: 2)
+        caller, taken, reduce_pot = threading.get_ident(), threading.Event(), montecarlo._reduce_pot
+
+        def reduce(xs, k):
+            if threading.get_ident() == caller:
+                assert taken.wait(timeout=60)
+            else:
+                taken.set()
+                on_helper()
+            return reduce_pot(xs, k)
+
+        monkeypatch.setattr(montecarlo, "_reduce_pot", reduce)
+
+    POT = ExperimentSpec(StableSource(1.3), n=2500, m=20, k=100, seed=5, fold_absolute=True)
+
+    def _draw(self):
+        return montecarlo._draw_pot(self.POT, _StreamBlock.keyed(self.POT.seed, range(self.POT.m)))
+
+    @pytest.mark.parametrize("failing", [1, 10, 20])
+    def test_a_failing_sub_chunk_raises_in_the_caller(self, monkeypatch, failing):
+        # whichever thread takes the failing sub-chunk, the exception reaches
+        # the caller and the helper does not outlive the call
+        monkeypatch.setattr(estimators, "_cores", lambda: 2)
+        calls, lock, reduce_pot = [], threading.Lock(), montecarlo._reduce_pot
+
+        def reduce(xs, k):
+            with lock:
+                calls.append(1)
+                if len(calls) == failing:
+                    raise KeyError("sub-chunk")
+            return reduce_pot(xs, k)
+
+        monkeypatch.setattr(montecarlo, "_reduce_pot", reduce)
+        before = _os_threads()
+        with pytest.raises(KeyError, match="sub-chunk"):
+            self._draw()
+        assert _os_threads_down_to(before) <= before
+
+    def test_the_helpers_exception_raises_in_the_caller(self, monkeypatch):
+        def fail():
+            raise KeyError("helper")
+
+        self._helper_takes_one(monkeypatch, fail)
+        before = _os_threads()
+        with pytest.raises(KeyError, match="helper"):
+            self._draw()
+        assert _os_threads_down_to(before) <= before
+
+    def test_helper_keeps_the_callers_error_state(self, monkeypatch):
+        seen = []
+        self._helper_takes_one(monkeypatch, lambda: seen.append(np.geterr()))
+        with np.errstate(all="ignore"):  # a new thread starts with NumPy's default
+            state = np.geterr()
+            self._draw()
+        assert seen and all(err == state for err in seen)
+
+    @staticmethod
+    def _pot_bytes(spec):
+        count, stack, (hill, reason) = montecarlo._draw_pot(
+            spec, _StreamBlock.keyed(spec.seed, range(spec.m))
+        )
+        excesses = stack(np.arange(spec.m), spec.k)[0]
+        return [v.tobytes() for v in (count, excesses, hill, reason)]
+
+    def test_concurrent_callers(self, monkeypatch):
+        # more callers and helpers than cores, switching threads often: a
+        # sub-chunk taken twice or never, or written into another call's
+        # slot, changes some caller's draws
+        specs = [
+            ExperimentSpec(source, n=n, m=m, k=100, seed=seed, fold_absolute=fold)
+            for seed, ((source, fold), (n, m)) in enumerate(
+                zip(self.POT_SOURCES * 2, [(1000, 41), (2500, 12)] * 3)
+            )
+        ]
+        monkeypatch.setattr(estimators, "_cores", lambda: 1)
+        expected = [self._pot_bytes(spec) for spec in specs]
+        monkeypatch.setattr(estimators, "_cores", lambda: 2)
+        results = [None] * len(specs)
+
+        def call(i):
+            results[i] = [self._pot_bytes(specs[i]) for _ in range(3)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(specs))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [[e] * 3 for e in expected]
+
+    def test_workers_equal_serial(self, monkeypatch):
+        # forked workers inherit the patched core count, so both runs share
+        # their draws with a helper
+        monkeypatch.setattr(estimators, "_cores", lambda: 2)
+        specs = table_specs("table7", m=40)
+        serial, pooled = run_experiments(specs, workers=1), run_experiments(specs, workers=2)
+        assert repr([r.summaries for r in pooled]) == repr([r.summaries for r in serial])
 
 
 # NumPy runs its baseline code, not its AVX-512 code, under this setting
