@@ -446,16 +446,21 @@ def _cmd_estimate(args) -> int:
             raise DataError(str(err)) from None
         extra = {"k": args.k, "threshold": result.threshold}
         outcome = result.fits.get(estimator) or result.failures[estimator]
+        base, fits_excesses = result.threshold, estimator is not EstimatorId.HILL
     else:
         # excess-over-minimum recipe: fit on the strictly positive excesses,
         # Pareto ML and the transforms on the full sample
         mu_hat = float(data.min())
-        z = data[data > mu_hat] - mu_hat
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            z = data[data > mu_hat] - mu_hat
         if estimator is not EstimatorId.PARETO_ML:
             if z.size < 2:
                 raise DataError("need at least 2 observations above the smallest one")
             extra = {"support_estimate": mu_hat}
         outcome = fit_all(data, mu_hat, z, (estimator,))[estimator]
+        base, fits_excesses = mu_hat, estimator is not EstimatorId.PARETO_ML
+    if fits_excesses and float(data.max()) - base == math.inf:  # the largest excess
+        raise EstimationError(f"the excesses over {base!r} overflow to inf")
     if isinstance(outcome, str):
         raise EstimationError(outcome)
     _print_fit(outcome, data.size, extra, args.json)
@@ -522,7 +527,7 @@ def _cmd_quantile(args) -> int:
         if any(direct):
             raise UsageError("--fit and direct --mu/--sigma/--xi are mutually exclusive")
         spec, alpha = _load_fit_file(args.fit)
-        values = [gpd_quantile_via_transform(spec, alpha, p) for p in probs]
+        values = (gpd_quantile_via_transform(spec, alpha, p) for p in probs)
     else:
         if not all(direct):
             raise UsageError("quantile needs either --fit PATH or all of --mu --sigma --xi")
@@ -530,7 +535,13 @@ def _cmd_quantile(args) -> int:
             params = GpdParams(args.mu, args.sigma, args.xi)
         except ValueError as err:
             raise UsageError(str(err)) from None
-        values = [float(gpd_quantile(params, p)) for p in probs]
+        values = (gpd_quantile(params, p) for p in probs)
+    # the generators run here; a quantile that is not finite fails below
+    with np.errstate(all="ignore"):
+        values = [float(x) for x in values]
+    for p, x in zip(probs, values):
+        if not math.isfinite(x):
+            raise EstimationError(f"the quantile at p={p!r} is not finite: {x!r}")
     for p, x in zip(probs, values):
         print(f"p={p!r} x={x!r}")
     return EXIT_OK

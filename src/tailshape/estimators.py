@@ -228,7 +228,8 @@ def _outcome(estimator: EstimatorId, out: tuple, sample: np.ndarray, **values):
     ``out`` is ``(xi_hat, scale, reason, ...)`` with the outputs that
     ``_ROWS`` names after the reason.  ``values`` fill in the rest of a
     message or of the diagnostics: a transformed estimator's ``support``
-    estimate and ``initial`` fit (or its message), Hill's ``k``.  The
+    estimate and ``initial`` fit (or its message).  The scale of a fit of the
+    sample or of a tail (Hill's threshold) is its ``mu_hat``.  The
     ``estimate_*`` functions raise the failure; the one-sample
     :func:`tailshape.pot.fit_all` keeps its message.
     """
@@ -244,7 +245,7 @@ def _outcome(estimator: EstimatorId, out: tuple, sample: np.ndarray, **values):
     row["alpha_transformed"] = 1.0 / xi if xi > 0 else math.inf
     if estimator is EstimatorId.GPD_MLE:
         row["profile_loglik"] = _profile_loglik(np.array([[row["theta"]]]), sample[None])[0].item()
-    sigma, mu = (None, scale) if rows == "sample" else (scale, None)
+    sigma, mu = (None, scale) if rows in ("sample", "tail") else (scale, None)
     try:
         return FitResult(xi, sigma, mu, estimator, {k: float(row[k]) for k in diagnostics})
     except ValueError as err:  # an invalid estimate
@@ -725,51 +726,51 @@ def estimate_hill(x, k: int) -> FitResult:
     which must therefore be positive.  ``mu_hat`` reports the threshold.
     """
     arr = _sample(x)
-    threshold, _, _, top = _reduce_pot(arr[None, :], k)
-    return _fitted(_outcome(EstimatorId.HILL, _hill_rows(top, threshold), arr, k=k))
+    return _fitted(_outcome(EstimatorId.HILL, _hill_rows(_reduce_pot(arr[None, :], k)[2]), arr))
 
 
 def _reduce_pot(xs: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
     """Each row of samples ``xs`` (folded already, if asked) reduced to its
-    threshold X_(n-k), its excesses over it, their count, and its k largest
-    values, sorted.  Row i of the (rows, k) excesses holds its count[i]
-    excesses first, in sample order: at most k values exceed X_(n-k), fewer
-    when values tie with it.  A row with a NaN or an infinite value gets NaN
-    as its first excess and its largest value, so that every fit of it fails
-    as non-finite, Hill's too: a NaN or -inf never exceeds the threshold.
-    One partition of a row serves the threshold and the top k, which, sorted,
-    sum in the same order as in a full sort of the row."""
+    excesses over the threshold X_(n-k), their count, and its tail: X_(n-k)
+    and then the k largest values, sorted.  Row i of the (rows, k) excesses
+    holds its count[i] excesses first, in sample order: at most k values
+    exceed X_(n-k), fewer when values tie with it.  A row with a NaN or an
+    infinite value gets NaN as its first excess and its largest value, so
+    that every fit of it fails as non-finite, Hill's too: a NaN or -inf never
+    exceeds the threshold.  One partition of a row serves the threshold (its
+    sign of zero kept) and the top k, which, sorted, sum in the same order as
+    in a full sort of the row."""
     n = xs.shape[1]
     if not _is_int(k) or not 1 <= k < n:
         raise ValueError(f"k must satisfy 1 <= k < n = {n}, got {k!r}")
-    threshold, count = np.empty(len(xs)), np.empty(len(xs), dtype=int)
-    exc, top = np.empty((len(xs), k)), np.empty((len(xs), k))
+    exc, count, tail = np.empty((len(xs), k)), np.empty(len(xs), int), np.empty((len(xs), k + 1))
     for row, x in enumerate(xs):
         part = np.partition(x, n - k - 1)
-        threshold[row], top[row] = part[n - k - 1], np.sort(part[n - k :])
-        above = x[x > threshold[row]]
+        tail[row, 0], tail[row, 1:] = part[n - k - 1], np.sort(part[n - k :])
+        above = x[x > tail[row, 0]]
         count[row] = above.size
-        np.subtract(above, threshold[row], out=exc[row, : above.size])
+        np.subtract(above, tail[row, 0], out=exc[row, : above.size])
     # a NaN makes the minimum NaN, a -inf is it, a +inf is the largest value
-    non_finite = ~(np.isfinite(xs.min(axis=1)) & np.isfinite(top[:, -1]))
-    exc[non_finite, 0] = top[non_finite, -1] = np.nan
-    return threshold, exc, count, top
+    non_finite = ~(np.isfinite(xs.min(axis=1)) & np.isfinite(tail[:, -1]))
+    exc[non_finite, 0] = tail[non_finite, -1] = np.nan
+    return exc, count, tail
 
 
-def _hill_rows(top: np.ndarray, threshold: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Row kernel of :func:`estimate_hill`: ``(xi_hat, threshold, reason)``
-    per row, the mean log-ratio of each row of sorted top values to its
-    threshold.  The largest top value of a sample with a NaN or an infinite
-    value is NaN."""
+def _hill_rows(tail: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Row kernel of :func:`estimate_hill`: ``(xi_hat, threshold, reason, k)``
+    per row, the mean log-ratio of each tail's sorted top k values to its
+    threshold, the tail's first value.  The largest value of a sample with a
+    NaN or an infinite value is NaN."""
+    threshold = tail[:, 0]
     with np.errstate(all="ignore"):
-        ratio = top / threshold[:, None]
+        ratio = tail[:, 1:] / threshold[:, None]
         xi = _row_mean(np.log(ratio, out=ratio))
     reason = _first_reason(
-        (~np.isfinite(top[:, -1]), Reason.non_finite),
+        (~np.isfinite(tail[:, -1]), Reason.non_finite),
         (threshold <= 0, Reason.threshold_nonpositive),
         (~np.isfinite(xi), Reason.invalid_estimate),
     )
-    return xi, threshold, reason
+    return xi, threshold, reason, np.full(len(tail), tail.shape[1] - 1)
 
 
 def _is_int(value) -> bool:
@@ -779,10 +780,11 @@ def _is_int(value) -> bool:
 
 # estimator -> (its name in messages, a transformed estimator's being its
 # initial one's; the rows its kernel fits, "sample", "excesses" in sample
-# order or "sorted" excesses, a fit of excesses reporting sigma_hat and the
-# others mu_hat; its row kernel, none for Hill (it needs k) and for the
-# transformed estimators (they need an initial fit); the names of the
-# kernel's outputs after (xi_hat, scale, reason); its diagnostics)
+# order, "sorted" excesses or a POT "tail" (X_(n-k), then the k largest
+# values, sorted), a fit of excesses reporting sigma_hat and the others
+# mu_hat; its row kernel, none for the transformed estimators (they need an
+# initial fit); the names of the kernel's outputs after (xi_hat, scale,
+# reason); its diagnostics)
 _TRANSFORMED = (
     ("clamp_count", "refresh_rounds", "initial_xi"),
     ("clamp_count", "alpha_transformed", "initial_xi", "refresh_rounds"),
@@ -798,7 +800,7 @@ _ROWS = {
         "GPD MLE", "excesses", _gpd_mle_rows, ("theta", "optimizer_iterations", "mean"),
         ("converged", "optimizer_iterations", "theta", "profile_loglik"),
     ),
-    EstimatorId.HILL: ("Hill estimator", "sample", None, (), ("k",)),
+    EstimatorId.HILL: ("Hill estimator", "tail", _hill_rows, ("k",), ("k",)),
     EstimatorId.TRANSFORMED_ZS: ("Zhang-Stephens", "sample", None, *_TRANSFORMED),
     EstimatorId.TRANSFORMED_PWM: ("PWM", "sample", None, *_TRANSFORMED),
 }

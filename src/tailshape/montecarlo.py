@@ -10,24 +10,23 @@ spec regardless of how replications are scheduled across worker
 processes.
 
 Scenarios without k follow the excess-over-minimum recipe: the smallest
-observation estimates the support bound and :func:`tailshape.pot.fit_all`
-fits the strictly positive excesses over it (Pareto ML and the transforms the
+observation estimates the support bound and :func:`tailshape.pot.fit_all` fits
+the strictly positive excesses over it (Pareto ML and the transforms the
 original observations).  Scenarios with k follow
-:func:`tailshape.pot.pot_estimate`: the samples are reduced, by the
-reduction ``pot_estimate`` runs on its one sample, to their thresholds
-X_(n-k), their excesses over them and their k largest values, which the Hill
-row kernel fits.  Replications are batched a chunk at a time: the stream
-keys of a chunk are hashed at once, its samples are drawn, one row per
-stream, through its source's ``sample_rows``, and fitted by one stacked
-``fit_all`` call per excess count (ties leave fewer excesses).  Every row is bit for bit
-the sample the source's public sampler (``sample_gpd`` and the others) draws
-from ``RngStream(seed, r)``.  A chunk holds
+:func:`tailshape.pot.pot_estimate`: the samples are reduced, by the reduction
+``pot_estimate`` runs on its one sample, to their excesses over their
+thresholds X_(n-k) and their tails (X_(n-k), then the k largest values), which
+Hill fits.  Replications are batched a chunk at a time: the stream keys of a
+chunk are hashed at once, its samples are drawn, one row per stream, through
+its source's ``sample_rows``, and fitted by one stacked ``fit_all`` call per
+excess count (ties leave fewer excesses).  Every row is bit for bit the sample
+the source's public sampler (``sample_gpd`` and the others) draws from
+``RngStream(seed, r)``.  A chunk holds
 :data:`tailshape.estimators.ELEMENT_BUDGET` values (n per row, or k in POT
 runs, whose samples are drawn a few rows at a time and reduced at once), so
 memory does not grow with m, and every row gets exactly the estimates of a
-replication fitted alone.  With several workers,
-:func:`run_experiments` runs every scenario's replication ranges in one
-process pool.
+replication fitted alone.  With several workers, :func:`run_experiments` runs
+every scenario's replication ranges in one process pool.
 
 Summaries report MSE, bias (true shape minus average estimate), relative
 efficiency against the asymptotic ML benchmark ``((1 + xi)^2 / n) / MSE`` and
@@ -65,7 +64,7 @@ from .distributions import (
     sample_student_t,
     sample_symmetric_stable,
 )
-from .estimators import ELEMENT_BUDGET, _OK, EstimatorId, Reason, _hill_rows, _is_int, _reduce_pot
+from .estimators import ELEMENT_BUDGET, _OK, EstimatorId, Reason, _is_int, _reduce_pot
 from .pot import DEFAULT_POT_ESTIMATORS, _check_estimators, fit_all
 
 __all__ = [
@@ -338,23 +337,16 @@ def _replicate_range(spec: ExperimentSpec, start: int, stop: int):
     slots = {est: np.full(stop - start, np.nan) for est in spec.estimator_set}
     # pot_estimate fails every estimator of a row with fewer than 2 excesses
     reasons = {est: np.full(stop - start, Reason.too_few) for est in spec.estimator_set}
-    plan = [est for est in spec.estimator_set if est is not EstimatorId.HILL]
     pot = spec.k is not None
     chunk = max(1, ELEMENT_BUDGET // (spec.k if pot else spec.n))
     for a in range(0, stop - start, chunk):  # a chunk's slots start at a
         streams = _StreamBlock.keyed(spec.seed, range(start + a, min(start + a + chunk, stop)))
-        if pot:
-            count, stack, hill = _draw_pot(spec, streams)
-            if EstimatorId.HILL in slots:
-                at = slice(a, a + len(count))
-                slots[EstimatorId.HILL][at], reasons[EstimatorId.HILL][at] = hill
-        else:
-            count, stack = _draw_minimum(spec, streams)
+        count, stack = (_draw_pot if pot else _draw_minimum)(spec, streams)
         for width in dict.fromkeys(count.tolist()):
             if pot and width < 2:  # the whole replication fails as too few
                 continue
             rows = np.flatnonzero(count == width)
-            fits = fit_all(*stack(rows, width), plan, spec.rounds)
+            fits = fit_all(**stack(rows, width), wanted=spec.estimator_set, rounds=spec.rounds)
             for est, (xi, reason) in fits.items():
                 slots[est][a + rows], reasons[est][a + rows] = xi, reason
     return slots, reasons
@@ -363,8 +355,8 @@ def _replicate_range(spec: ExperimentSpec, start: int, stop: int):
 def _draw_minimum(spec: ExperimentSpec, streams: _StreamBlock):
     """Draw one replication per stream of ``streams`` for the
     excess-over-minimum recipe: each row's excess count and ``stack(rows,
-    width)``, the ``fit_all`` arguments ``(x, minimum, excesses over it)`` of
-    rows with that count (sample order kept)."""
+    width)``, the ``fit_all`` arguments ``x``, ``support`` (the minimum) and
+    ``exc`` (sample order kept) of the rows with that count."""
     x = spec.source.sample_rows(spec.n, streams)
     mu_hat = x.min(axis=1)
     above = x > mu_hat[:, None]
@@ -373,7 +365,7 @@ def _draw_minimum(spec: ExperimentSpec, streams: _StreamBlock):
         xs = x[rows]
         exc = xs[above[rows]].reshape(rows.size, width)
         exc -= mu_hat[rows, None]
-        return xs, mu_hat[rows], exc
+        return {"x": xs, "support": mu_hat[rows], "exc": exc}
 
     return above.sum(axis=1), stack
 
@@ -381,21 +373,21 @@ def _draw_minimum(spec: ExperimentSpec, streams: _StreamBlock):
 def _draw_pot(spec: ExperimentSpec, streams: _StreamBlock):
     """Draw one replication per stream of ``streams`` for the
     peaks-over-threshold recipe of :func:`tailshape.pot.pot_estimate`: each
-    row's excess count, ``stack(rows, width)`` as in :func:`_draw_minimum`
-    with the smallest excess as support, and each row's Hill estimate and
-    reason.
+    row's excess count and ``stack(rows, width)`` as in :func:`_draw_minimum`,
+    with the excesses as ``x`` and ``exc``, the smallest excess as support
+    and each row's ``tail`` for Hill.
 
     Samples are drawn (and folded if asked) a sub-chunk of an eighth of the
     element budget at a time, and each sub-chunk is reduced at once by
     :func:`tailshape.estimators._reduce_pot`, the reduction of
-    :func:`~tailshape.pot.pot_estimate`, so only (rows x k) arrays are kept.
+    :func:`~tailshape.pot.pot_estimate`, so only (rows x k) excesses and
+    (rows x (k + 1)) tails are kept.
     A chunk of at least 4 sub-chunks shares them with one helper thread
     (:func:`tailshape.estimators._helpers`) that it starts and joins itself,
     as a profile likelihood shares its blocks: the caller and its helper take
     sub-chunks from one iterator and write each one's reduction into its own
     slot.  Row i is drawn from stream i whichever thread draws it, so the
-    rows do not depend on the number of cores.  Hill is NaN where its kernel
-    fails the row or the row has fewer than 2 excesses.
+    rows do not depend on the number of cores.
     """
     per_draw = max(1, ELEMENT_BUDGET // (8 * spec.n))
     starts = range(0, len(streams), per_draw)
@@ -415,15 +407,13 @@ def _draw_pot(spec: ExperimentSpec, streams: _StreamBlock):
     finally:
         for join in joins:
             join()
-    threshold, excesses, count, top = (np.concatenate(part) for part in zip(*parts))
+    excesses, count, tail = (np.concatenate(part) for part in zip(*parts))
 
     def stack(rows, width):
         exc = excesses[rows, :width]
-        return exc, exc.min(axis=1), exc
+        return {"x": exc, "support": exc.min(axis=1), "exc": exc, "tail": tail[rows]}
 
-    hill, _, reason = _hill_rows(top, threshold)
-    reason[count < 2] = Reason.too_few
-    return count, stack, (np.where(reason == _OK, hill, np.nan), reason)
+    return count, stack
 
 
 def _summarize(

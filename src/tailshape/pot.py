@@ -2,27 +2,26 @@
 
 :func:`fit_all` runs every estimator set in the package, sharing one initial
 fit between a transformed estimator and its plain counterpart, on one sample
-or on a stack of equal-length samples, one per row.  In the POT
-pipeline the threshold is the (n-k)-th order statistic, so exactly the k
-largest observations exceed it (ties at the threshold count as
-non-exceedances).  The plan runs on the k strictly positive excesses with the
-smallest excess as the support estimate; the Hill estimator runs on the raw
-sample with the same k.  Only the upper tail is used; observations are never
+or on a stack of equal-length samples, one per row.  In the POT pipeline the
+threshold is the (n-k)-th order statistic, so exactly the k largest
+observations exceed it (ties at the threshold count as non-exceedances).  The
+plan runs on the k strictly positive excesses with the smallest excess as the
+support estimate, and the Hill estimator on the tail: the threshold and the k
+largest observations.  Only the upper tail is used; observations are never
 folded by absolute value (symmetric sources contribute through their largest
 values only) unless ``fold_absolute`` is requested explicitly.  The
-replication engine runs the same pipeline on stacks of samples through the
-row kernels (:mod:`tailshape.montecarlo`).
+replication engine runs the same pipeline on stacks of samples through the row
+kernels (:mod:`tailshape.montecarlo`).
 
 There is one fit path and one failure path.  The row kernel of an estimator
 fits a stack of rows and names each failed row's
 :class:`~tailshape.estimators.Reason`; one sample is fitted as a stack of one
 row, whose fit or failure message comes from the one mapping of a row to a
 :class:`~tailshape.estimators.FitResult` or a message.  Which kernel an
-estimator runs, and on which rows, is looked up in the one estimator table
-of :mod:`tailshape.estimators`.  One reduction of samples to their
-threshold, excesses and top k serves :func:`pot_estimate` and the
-replication engine; a sample with a NaN or an infinite value fails every
-estimator.
+estimator runs, and on which rows, is looked up in the one estimator table of
+:mod:`tailshape.estimators`, Hill's too.  One reduction of samples to their
+excesses and tail serves :func:`pot_estimate` and the replication engine; a
+sample with a NaN or an infinite value fails every estimator.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ from .estimators import (
     EstimatorId,
     FitResult,
     Reason,
-    _hill_rows,
     _is_int,
     _outcome,
     _reduce_pot,
@@ -98,7 +96,7 @@ class PotResult:
 
 def select_threshold(x, k: int) -> float:
     """The (n-k)-th order statistic (ascending, 1-indexed) of the sample."""
-    return float(_reduce_pot(np.asarray(x, dtype=float).ravel()[None, :], k)[0][0])
+    return float(_reduce_pot(np.asarray(x, dtype=float).ravel()[None, :], k)[2][0, 0])
 
 
 def _check_exceedances(count: int, threshold: float) -> None:
@@ -130,22 +128,23 @@ def _kernel_fits(e: EstimatorId, rows: dict, support, rounds: int, fits):
 
 
 def fit_all(
-    x, support, exc, wanted, rounds: int = 0
+    x, support, exc, wanted, rounds: int = 0, tail=None
 ) -> dict[EstimatorId, FitResult | str] | dict[EstimatorId, tuple[np.ndarray, np.ndarray]]:
     """Fit each wanted estimator once; failures map to their messages.
 
     Zhang-Stephens, PWM and GPD ML fit the excesses ``exc`` (GPD ML even when
-    not converged), Pareto ML fits ``x``.  A transformed estimator transforms
-    ``x`` with the support estimate ``support`` and the one Zhang-Stephens or
-    PWM fit of the call, refreshed ``rounds`` times as by
-    :func:`~tailshape.transform.iterate_transform`.  Hill needs
-    :func:`pot_estimate`.  Returns ``{EstimatorId: FitResult | message}``.
+    not converged), Pareto ML fits ``x``, Hill the ``tail`` (X_(n-k), then the
+    k largest values, sorted).  A transformed estimator transforms ``x`` with
+    the support estimate ``support`` and the one Zhang-Stephens or PWM fit of
+    the call, refreshed ``rounds`` times as by
+    :func:`~tailshape.transform.iterate_transform`.  Returns ``{EstimatorId:
+    FitResult | message}``.
 
-    Stack form: ``x`` of shape (r, n), ``exc`` of shape (r, w) and
-    ``support`` of shape (r,) hold r samples, one per row.  The row kernels
-    fit the whole stack (GPD ML's on the excesses in their given order, which
-    its averages follow), and the result maps each estimator to
-    ``(xi, reason)``: the r shape estimates and each row's
+    Stack form: ``x`` of shape (r, n), ``exc`` of shape (r, w), ``tail`` of
+    shape (r, k + 1) and ``support`` of shape (r,) hold r samples, one per
+    row.  The row kernels fit the whole stack (GPD ML's on the excesses in
+    their given order, which its averages follow), and the result maps each
+    estimator to ``(xi, reason)``: the r shape estimates and each row's
     :class:`~tailshape.estimators.Reason`, with xi NaN wherever the reason is
     not ``ok`` (including GPD ML fits that did not converge).  So a failure
     fails only its row.  One sample is fitted as a stack of one row, so each
@@ -153,16 +152,16 @@ def fit_all(
     whose failure message is that of the row's reason.
     """
     _check_estimators(wanted)
-    if EstimatorId.HILL in wanted:
+    if EstimatorId.HILL in wanted and tail is None:
         raise ValueError("the Hill estimator needs the raw sample and k; use pot_estimate")
     transformed = set(wanted) & _INITIAL.keys()
     if transformed and (not _is_int(rounds) or rounds < 0):
         raise ValueError(f"rounds must be a non-negative integer, got {rounds!r}")
     single = np.ndim(x) == 1
-    xs, supports, excs = (np.asarray(a, dtype=float) for a in (x, support, exc))
+    xs, supports, excs, tails = (np.asarray(a, dtype=float) for a in (x, support, exc, tail))
     if single:
-        xs, supports, excs = xs[None, :], supports.reshape(1), excs.reshape(1, -1)
-    rows = {"sample": xs, "excesses": excs}
+        xs, supports, excs, tails = xs[None, :], supports.reshape(1), excs.reshape(1, -1), tails[None]
+    rows = {"sample": xs, "excesses": excs, "tail": tails}
     if any(_ROWS[_INITIAL.get(e, e)][1] == "sorted" for e in wanted):  # one sort for all
         rows["sorted"] = np.sort(excs, axis=1)
     fits = {}
@@ -183,24 +182,20 @@ def fit_all(
 def pot_estimate(x, cfg: PotConfig) -> PotResult:
     """Run the configured estimator set above the k-largest threshold.
 
-    Hill runs here and the rest through :func:`fit_all`, with no refresh
+    Every estimator runs through one :func:`fit_all` call, with no refresh
     rounds; failures are recorded per estimator in ``failures``.  The sample
-    is reduced to its threshold, excesses and top k once, by the reduction
-    the replication engine uses.
+    is reduced to its excesses and tail once, by the reduction the
+    replication engine uses.
     """
     arr = np.asarray(x, dtype=float).ravel()
     if cfg.fold_absolute:
         arr = np.abs(arr)
-    threshold, exc, count, top = _reduce_pot(arr[None, :], cfg.k)
-    _check_exceedances(int(count[0]), float(threshold[0]))
+    with np.errstate(over="ignore"):  # an infinite excess fails as non-finite
+        exc, count, tail = _reduce_pot(arr[None, :], cfg.k)
+    result = PotResult(threshold=float(tail[0, 0]), excess_count=int(count[0]))
+    _check_exceedances(result.excess_count, result.threshold)
     exc = exc[0, : count[0]]
-    result = PotResult(threshold=float(threshold[0]), excess_count=int(count[0]))
-
-    plan = [e for e in cfg.estimators if e is not EstimatorId.HILL]
-    outcomes = fit_all(exc, float(exc.min()), exc, plan)
-    if EstimatorId.HILL in cfg.estimators:
-        hill = _outcome(EstimatorId.HILL, _hill_rows(top, threshold), arr, k=cfg.k)
-        outcomes[EstimatorId.HILL] = hill if isinstance(hill, FitResult) else hill[1]
+    outcomes = fit_all(exc, float(exc.min()), exc, cfg.estimators, tail=tail[0])
     for estimator in cfg.estimators:  # an estimator named twice is fitted once
         outcome = outcomes[estimator]
         (result.failures if isinstance(outcome, str) else result.fits)[estimator] = outcome

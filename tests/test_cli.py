@@ -154,6 +154,23 @@ class TestEstimate:
         code, _, err = run(capsys, "estimate", "--data", path, "--method", "pareto-ml")
         assert code == 3
 
+    @pytest.mark.parametrize("method, k, message", [
+        ("zs", None, "the excesses over -1.7e+308 overflow to inf"),
+        ("transformed-zs", None, "the excesses over -1.7e+308 overflow to inf"),
+        ("mle", "2", "the excesses over -1.7e+308 overflow to inf"),
+        ("pareto-ml", None, "Pareto ML requires strictly positive observations"),
+        ("hill", "2", "Hill estimator needs a positive threshold X_(n-k)"),
+    ])
+    def test_excesses_that_overflow(self, capsys, tmp_path, method, k, message):
+        # every value is finite, but 1.7e308 - (-1.7e308) is not; stderr holds
+        # the one error line and no NumPy warning
+        path = write(tmp_path / "wide.dat", "1.7e308\n-1.7e308\n1.0\n")
+        argv = ["estimate", "--data", path, "--method", method] + (["--k", k] if k else [])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert (code, out, err, caught) == (3, "", f"error: {message}\n", [])
+
     def test_json_output(self, capsys, gpd_file):
         code, out, _ = run(
             capsys, "estimate", "--data", gpd_file, "--method", "zs", "--json"
@@ -440,6 +457,23 @@ class TestQuantile:
         direct = [float(line.split("x=")[1]) for line in out_direct.strip().splitlines()]
         via = [float(line.split("x=")[1]) for line in out_fit.strip().splitlines()]
         assert direct == pytest.approx(via, rel=1e-9)
+
+    @pytest.mark.parametrize("fit, p", [(False, "0.99"), (False, "0.5,0.99"), (True, "0.5")])
+    def test_a_quantile_that_overflows_is_a_numerical_failure(self, capsys, tmp_path, fit, p):
+        # at p = 0.5 the direct quantile is finite, at 0.99 it is not; nothing
+        # is printed but the one error line
+        params = {"mu_hat": 1e300, "sigma_hat": 1e300, "xi_hat": 5.0, "alpha_transformed": 0.2}
+        if fit:
+            argv = ["--fit", write(tmp_path / "fit.json", json.dumps(params))]
+        else:
+            argv = ["--mu=1e300", "--sigma=1e300", "--xi=5"]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "quantile", *argv, "--p", p)
+        at = "0.5" if fit else "0.99"
+        assert (code, out, err, caught) == (
+            3, "", f"error: the quantile at p={at} is not finite: inf\n", []
+        )
 
     def test_usage_errors(self, capsys, tmp_path):
         code, _, _ = run(capsys, "quantile", "--mu", "1", "--p", "0.5")

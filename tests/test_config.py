@@ -1,6 +1,7 @@
 """Tests for the ``simulate`` config reader: an oracle against a copy of the
 earlier parser, and the README's config and command-line documentation."""
 
+import random
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -329,7 +330,8 @@ class TestParseConfigOracle:
             outcome = _outcome(reference_parse_config, text, None)
             return "GpdSource" in outcome and "'table" in outcome
 
-        find(configs(), both_kinds, settings=settings(database=None))
+        # a fixed seed: whether a random search reaches one is not left to chance
+        find(configs(), both_kinds, settings=settings(database=None), random=random.Random(0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for the replication engine, metrics and table documents."""
 
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -627,11 +628,14 @@ class TestThreadedPotDraws:
 
     @staticmethod
     def _pot_bytes(spec):
-        count, stack, (hill, reason) = montecarlo._draw_pot(
-            spec, _StreamBlock.keyed(spec.seed, range(spec.m))
-        )
-        excesses = stack(np.arange(spec.m), spec.k)[0]
-        return [v.tobytes() for v in (count, excesses, hill, reason)]
+        # the draws' excess counts, excesses and tails, and the Hill slots
+        # fitted from them
+        count, stack = montecarlo._draw_pot(spec, _StreamBlock.keyed(spec.seed, range(spec.m)))
+        rows = stack(np.arange(spec.m), spec.k)
+        hill = dataclasses.replace(spec, estimators=(EstimatorId.HILL,))
+        slots, reasons = montecarlo._replicate_range(hill, 0, spec.m)
+        return [v.tobytes() for v in (count, rows["exc"], rows["tail"], slots[EstimatorId.HILL],
+                                      reasons[EstimatorId.HILL])]
 
     def test_concurrent_callers(self, monkeypatch):
         # more callers and helpers than cores, switching threads often: a

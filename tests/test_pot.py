@@ -393,8 +393,23 @@ class TestFitAll:
             fit_all(x, 1.0, x[1:] - 1.0, (EstimatorId.TRANSFORMED_ZS,), rounds=-1)
 
     def test_hill_needs_pot_estimate(self):
-        with pytest.raises(ValueError, match="pot_estimate"):
+        # without a tail, one sample or a stack
+        message = "^the Hill estimator needs the raw sample and k; use pot_estimate$"
+        with pytest.raises(ValueError, match=message):
             fit_all(np.array([1.0, 2.0, 3.0]), 1.0, np.array([1.0, 2.0]), (EstimatorId.HILL,))
+        with pytest.raises(ValueError, match=message):
+            fit_all(np.ones((2, 3)), np.ones(2), np.ones((2, 2)), (EstimatorId.HILL,))
+
+    @pytest.mark.parametrize("k", [2, 20, 199])
+    def test_hill_fits_the_tail(self, k):
+        # the threshold X_(n-k), then the k largest values, sorted
+        x = sample_gpd(GpdParams(0.0, 1.0, 0.5), 200, RngStream(61, 0))
+        tail = np.concatenate([[select_threshold(x, k)], np.sort(x)[-k:]])
+        exc = excesses(x, tail[0])
+        fit = fit_all(exc, float(exc.min()), exc, (EstimatorId.HILL,), tail=tail)[EstimatorId.HILL]
+        assert fit == estimate_hill(x, k)
+        assert fit.mu_hat == tail[0] and fit.sigma_hat is None
+        assert fit.diagnostics == {"k": float(k)}
 
 
 def _row(draw, n):
@@ -627,6 +642,61 @@ def _slots_equal(a, b):
     assert a.keys() == b.keys()
     for estimator in a:
         assert [_bits(v) for v in a[estimator]] == [_bits(v) for v in b[estimator]]
+
+
+@dataclass(frozen=True)
+class _RoundedNanT(_RoundedT):
+    """Rounded Student t source (see :class:`_RoundedT`) that puts a NaN in
+    about one sample in five."""
+
+    def sample(self, n, rng):
+        x = super().sample(n, rng)
+        if rng.generator.random() < 0.2:
+            x[rng.generator.integers(n)] = np.nan
+        return x
+
+    sample_rows = _rows_of
+
+
+class TestHillSlots:
+    """Each Hill slot that the replication engine fills is
+    :func:`estimate_hill` on its replication's sample, folded if asked, bit
+    for bit; a row with fewer than 2 excesses fails as too few and a row with
+    a NaN as non-finite."""
+
+    REASONS = {
+        "sample contains non-finite values": Reason.non_finite,
+        "Hill estimator needs a positive threshold X_(n-k)": Reason.threshold_nonpositive,
+    }
+
+    @pytest.mark.parametrize("fold", [True, False])
+    def test_slots_equal_estimate_hill(self, fold):
+        spec = ExperimentSpec(
+            _RoundedNanT(30.0), n=30, m=60, k=5, estimators=(EstimatorId.HILL,), seed=7,
+            fold_absolute=fold,
+        )
+        assert spec.m * spec.k <= montecarlo.ELEMENT_BUDGET  # one chunk
+        slots, reasons = montecarlo._replicate_range(spec, 0, spec.m)
+        counts, nans = [], []
+        for r in range(spec.m):
+            x = sampler_oracle.sample(spec.source, spec.n, sampler_oracle.stream(spec.seed, r))
+            x = np.abs(x) if fold else x
+            counts.append(int(np.sum(x > select_threshold(x, spec.k))))
+            nans.append(bool(np.isnan(x).any()))
+            if counts[-1] < 2:
+                want, reason = np.nan, Reason.too_few
+            else:
+                try:
+                    want, reason = estimate_hill(x, spec.k).xi_hat, Reason.ok
+                except ValueError as err:  # X_(n-k) <= 0 only in a sample not folded
+                    want, reason = np.nan, self.REASONS[str(err)]
+            assert _bits(slots[EstimatorId.HILL][r]) == _bits(want)
+            assert reasons[EstimatorId.HILL][r] == reason
+        # rows with k, with 2 to k - 1 and with fewer than 2 excesses, and NaN
+        # rows with at least 2
+        assert spec.k in counts and any(2 <= c < spec.k for c in counts)
+        assert any(c < 2 for c in counts)
+        assert any(nan and c >= 2 for nan, c in zip(nans, counts))
 
 
 class TestBatchedReplication:
