@@ -18,8 +18,8 @@ student-t, stable, plus its parameters, ``n``, ``m``, optional ``k``); each
 ``table8``).  Unknown keys are rejected with their line number.
 
 Exit codes are stable for scripting: 0 success, 1 usage or validation
-problems (flags, config), 2 data-file problems, 3 numerical estimation
-failures.
+problems (flags, config) and running out of memory, 2 data-file problems,
+3 numerical estimation failures.
 """
 
 from __future__ import annotations
@@ -594,6 +594,9 @@ def main(argv=None) -> int:
     except EstimationError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
+    except MemoryError as err:  # e.g. a sample size too large to allocate
+        print(f"error: out of memory: {err}".rstrip(": "), file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -726,7 +726,9 @@ def estimate_hill(x, k: int) -> FitResult:
     which must therefore be positive.  ``mu_hat`` reports the threshold.
     """
     arr = _sample(x)
-    return _fitted(_outcome(EstimatorId.HILL, _hill_rows(_reduce_pot(arr[None, :], k)[2]), arr))
+    with np.errstate(over="ignore"):  # Hill reads the tail, not the excesses
+        tail = _reduce_pot(arr[None, :], k)[2]
+    return _fitted(_outcome(EstimatorId.HILL, _hill_rows(tail), arr))
 
 
 def _reduce_pot(xs: np.ndarray, k: int) -> tuple[np.ndarray, ...]:

@@ -26,7 +26,8 @@ the source's public sampler (``sample_gpd`` and the others) draws from
 runs, whose samples are drawn a few rows at a time and reduced at once), so
 memory does not grow with m, and every row gets exactly the estimates of a
 replication fitted alone.  With several workers, :func:`run_experiments` runs
-every scenario's replication ranges in one process pool.
+every scenario's replication ranges in one process pool, of at most one
+process per usable core.
 
 Summaries report MSE, bias (true shape minus average estimate), relative
 efficiency against the asymptotic ML benchmark ``((1 + xi)^2 / n) / MSE`` and
@@ -34,11 +35,10 @@ Monte Carlo standard errors, with per-estimator failure counts and their
 counts by :class:`~tailshape.estimators.Reason` (failed replications are
 excluded from that estimator's summary only).
 
-The module also ships the benchmark grids ``table1`` .. ``table8`` (three GPD
-parameter families crossed with n in {50, 100, 250} and xi in {0.1, 0.25,
-0.5, 0.75, 1.0}; Student's t and symmetric stable POT scenarios with k = 100),
-each one :class:`TableLayout` record from which :func:`table_specs` builds the
-specs and :func:`emit_table` renders CSV or JSON documents.
+The module also ships the benchmark grids ``table1`` .. ``table8``, each one
+:class:`TableLayout` record of :data:`TABLE_LAYOUTS`, from which
+:func:`table_specs` builds the specs and :func:`emit_table` renders CSV or
+JSON documents.
 """
 
 from __future__ import annotations
@@ -459,24 +459,25 @@ def run_experiments(specs, workers: int = 1) -> list[ExperimentResult]:
     """Run several scenarios, preserving order.
 
     ``workers > 1`` runs every scenario's replication ranges as jobs of one
-    process pool; results are placed into per-replication slots, so the
+    process pool of min(``workers``, usable cores, jobs) processes (none on
+    one core); results are placed into per-replication slots, so the
     summaries are bit-identical for any worker count or scheduling order.
     """
     if not _is_int(workers) or workers < 1:
         raise ValueError(f"workers must be a positive integer, got {workers!r}")
     specs = list(specs)
+    workers = min(workers, estimators._cores())
     if workers == 1 or all(spec.m < 4 for spec in specs):
         parts = [[_replicate_range(spec, 0, spec.m)] for spec in specs]
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            jobs = []
-            for spec in specs:
-                # consecutive non-empty ranges covering [0, m), at most m of them
-                bounds = np.linspace(0, spec.m, min(workers * 4, spec.m) + 1, dtype=int).tolist()
-                jobs.append([pool.submit(_replicate_range, spec, a, b)
-                             for a, b in zip(bounds, bounds[1:])])
+        # consecutive non-empty ranges covering [0, m), at most m of them
+        cuts = [np.linspace(0, s.m, min(workers * 4, s.m) + 1, dtype=int).tolist() for s in specs]
+        ranges = [list(zip(c, c[1:])) for c in cuts]
+        with ProcessPoolExecutor(max_workers=min(workers, sum(map(len, ranges)))) as pool:
+            jobs = [[pool.submit(_replicate_range, spec, a, b) for a, b in spec_ranges]
+                    for spec, spec_ranges in zip(specs, ranges)]
             parts = [[job.result() for job in spec_jobs] for spec_jobs in jobs]
     results = []
     for spec, part in zip(specs, parts):

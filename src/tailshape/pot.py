@@ -96,7 +96,8 @@ class PotResult:
 
 def select_threshold(x, k: int) -> float:
     """The (n-k)-th order statistic (ascending, 1-indexed) of the sample."""
-    return float(_reduce_pot(np.asarray(x, dtype=float).ravel()[None, :], k)[2][0, 0])
+    with np.errstate(over="ignore"):  # the excesses are discarded
+        return float(_reduce_pot(np.asarray(x, dtype=float).ravel()[None, :], k)[2][0, 0])
 
 
 def _check_exceedances(count: int, threshold: float) -> None:

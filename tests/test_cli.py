@@ -769,6 +769,21 @@ class TestSimulate:
         assert out.read_bytes() == b"an earlier result\r\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "run.cfg"]
 
+    def test_out_of_memory_is_one_error_line(self, capsys, tmp_path, monkeypatch):
+        # what NumPy raises for a [scenario] with n = 10000000000000
+        def run_experiments(*args, **kwargs):
+            raise MemoryError("Unable to allocate 72.8 TiB for an array with shape "
+                              "(1, 10000000000000) and data type float64")
+
+        monkeypatch.setattr("tailshape.cli.run_experiments", run_experiments)
+        config = write(tmp_path / "run.cfg", SCENARIO_CONFIG)
+        code, out, err = run(capsys, "simulate", "--config", config, "--out",
+                             str(tmp_path / "a.csv"))
+        assert (code, out) == (1, "")
+        assert err == "error: out of memory: Unable to allocate 72.8 TiB for an array with " \
+                      "shape (1, 10000000000000) and data type float64\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"]
+
     def test_directory_output_fails_before_the_run(self, capsys, tmp_path, monkeypatch):
         def run_experiments(*args, **kwargs):
             raise AssertionError("the replications ran before the output was checked")
@@ -1033,6 +1048,76 @@ def contract_outcome(argv, as_json=False):
     return code
 
 
+def _choice(*values):
+    return st.sampled_from(values)
+
+
+# each config key's good values, then its bad ones; every m that parses is at
+# most 3, and every section sets one, so no run starts a process pool
+_CONFIG_VALUES = {
+    "source": (st.sampled_from(sorted(_SOURCES)), _choice("cauchy")),
+    "m": (_choice("1", "2", "3"), _choice("0", "-1", "2.5", "x")),
+    "seed": (_choice("0", "17", str(2**64 - 1)), _choice("-1", str(2**64), "x")),
+    "rounds": (_choice("0", "1", "3"), _choice("-1", "x")),
+    "estimators": (
+        st.lists(st.sampled_from(sorted(_METHODS)), min_size=1, max_size=4, unique=True)
+        .map(", ".join),
+        _choice("bogus", "zs, bogus", "zs,,pwm"),
+    ),
+    "n": (st.integers(2, 60).map(str), _choice("1", "0", "x", "5.5")),
+    "k": (st.integers(1, 20).map(str), _choice("0", "x")),
+    "fold": (_choice("true", "false"), _choice("maybe")),
+    "mu": (_choice("1", "0.5", "-2.5"), _choice("nan", "x")),
+    "sigma": (_choice("1", "0.5", "2"), _choice("0", "-1", "inf")),
+    "xi": (_choice("0.1", "0.5", "1"), _choice("0", "-0.2", "nan")),
+    "df": (_choice("1", "2.5", "5"), _choice("0", "nan")),
+    "index": (_choice("1", "1.5", "2"), _choice("2.5", "0")),
+    "name": (_choice(*(f"table{i}" for i in range(1, 9)), "TABLE2"), _choice("table9")),
+}
+_BAD_LINES = _choice("[other]", "colour = red", "no equals sign", "n =", "name = table1")
+SIMULATE_COLUMNS = (
+    "table,source,n,k,param_name,param_value,estimator,seed,"
+    "mse,bias,rel_eff,variance,mc_se_mse,mc_se_bias,failures,m_used"
+).split(",")
+
+
+@st.composite
+def simulate_configs(draw):
+    """A config of one to three [scenario] and [table] sections, each with an
+    m; some have one fault: a bad value, a missing key or section, or a bad
+    line."""
+    lines, keyed = [], []  # keyed: (line index, key) of each key's line
+
+    def add(*keys):
+        for key in keys:
+            keyed.append((len(lines), key))
+            lines.append(f"{key} = {draw(_CONFIG_VALUES[key][0])}")
+
+    add(*sorted(draw(st.sets(_choice("m", "seed", "rounds", "estimators")))))
+    head = len(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.integers(0, 3)) == 0:  # tables hold 15 cells: fewer of them
+            lines.append("[table]")
+            add("name", "m", *["seed"] * draw(st.booleans()))
+            continue
+        source = draw(_CONFIG_VALUES["source"][0])
+        keyed.append((len(lines) + 1, "source"))
+        lines += ["[scenario]", f"source = {source}"]
+        optional = draw(st.sets(_choice("seed", "rounds", "estimators", "k", "fold")))
+        add("m", *_SOURCES[source].keys, "n", *sorted(optional))
+    fault = draw(_choice(None, None, "value", "key", "line", "sections"))
+    if fault == "value":
+        index, key = draw(st.sampled_from(keyed))
+        lines[index] = f"{key} = {draw(_CONFIG_VALUES[key][1])}"
+    elif fault == "key":  # any key but m, whose default is 1000
+        del lines[draw(st.sampled_from([index for index, key in keyed if key != "m"]))]
+    elif fault == "line":
+        lines.insert(draw(st.integers(0, len(lines))), draw(_BAD_LINES))
+    elif fault == "sections":
+        del lines[head:]
+    return "\n".join(lines) + "\n"
+
+
 class TestContract:
     """Whatever the data and flags, the CLI exits by its documented codes."""
 
@@ -1064,6 +1149,34 @@ class TestContract:
         mu, sigma, xi = (f"{v!r}" for v in params)
         contract_outcome(["quantile", f"--mu={mu}", f"--sigma={sigma}", f"--xi={xi}",
                           "--p", ",".join(probs)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        config=simulate_configs(),
+        fmt=st.sampled_from(["csv", "json"]),
+        threads=st.integers(1, 3),
+        seed=st.none() | st.sampled_from(["0", "5", "-1"]),
+        earlier=st.booleans(),
+    )
+    def test_simulate(self, tmp_path_factory, config, fmt, threads, seed, earlier):
+        with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+            folder = Path(tmp)
+            (folder / "run.cfg").write_text(config, encoding="utf-8")
+            out = folder / f"out.{fmt}"
+            if earlier:
+                out.write_text("an earlier result\n", encoding="utf-8")
+            argv = ["simulate", "--config", str(folder / "run.cfg"), "--out", str(out),
+                    "--format", fmt, "--threads", str(threads)]
+            code = contract_outcome(argv + ([] if seed is None else ["--seed", seed]))
+            if code:  # the output is as it was, and nothing is left beside it
+                assert sorted(p.name for p in folder.iterdir()) == sorted(
+                    ["run.cfg"] + [out.name] * earlier
+                )
+                assert not earlier or out.read_text() == "an earlier result\n"
+            elif fmt == "csv":
+                assert next(csv.reader(io.StringIO(out.read_text()))) == SIMULATE_COLUMNS
+            else:
+                assert strict_json(out.read_text())["columns"] == SIMULATE_COLUMNS
 
 
 if __name__ == "__main__":

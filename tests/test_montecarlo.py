@@ -190,6 +190,7 @@ class TestRunExperiment:
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+        monkeypatch.setattr(estimators, "_cores", lambda: 2)  # a pool needs two cores
         specs = [
             SPEC,
             ExperimentSpec(StudentTSource(3.0), n=300, m=9, k=30, seed=5, fold_absolute=True),
@@ -198,6 +199,36 @@ class TestRunExperiment:
         parallel = run_experiments(specs, workers=2)
         assert started == [2]
         assert parallel == run_experiments(specs)
+
+    def test_pool_capped_at_usable_cores(self, monkeypatch):
+        import concurrent.futures
+
+        started = []
+
+        class InlinePool:  # records the pool size and runs each job at once
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                job = concurrent.futures.Future()
+                job.set_result(fn(*args))
+                return job
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(estimators, "_cores", lambda: 2)
+        specs = [SPEC, ExperimentSpec(StudentTSource(3.0), n=300, m=9, k=30, seed=5)]
+        serial = run_experiments(specs)
+        assert run_experiments(specs, workers=10**6) == serial
+        assert started == [2]
+        monkeypatch.setattr(estimators, "_cores", lambda: 1)  # one core: no pool
+        assert run_experiments(specs, workers=3) == serial
+        assert started == [2]
 
     def test_mse_decomposition_and_rel_eff_identity(self):
         for summary in run_experiment(SPEC):

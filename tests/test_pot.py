@@ -58,6 +58,14 @@ class TestSelectThreshold:
             u = select_threshold(x, k)
             assert int(np.sum(x > u)) == k
 
+    def test_overflowing_excesses_do_not_warn(self):
+        # the excesses over -1.7e308 overflow; a warning fails under the
+        # suite's error::RuntimeWarning:tailshape filter
+        x = [1.7e308, -1.7e308, 1.0]
+        assert select_threshold(x, 2) == -1.7e308
+        with pytest.raises(ValueError, match="positive threshold"):
+            estimate_hill(x, 2)
+
 
 class TestBoolIsNotAnInteger:
     @pytest.mark.parametrize(
