@@ -122,9 +122,10 @@ class RngStream:
         ids = range(int(self.stream_id), int(self.stream_id) + 1)
         (self.generator,) = _generators(_stream_keys(int(self.seed), ids))
 
-    def draw(self, n: int, draws, *args) -> tuple[np.ndarray, ...]:
-        """The raw draws ``draws(generator, n, *args)`` of a sampler."""
-        return draws(self.generator, n, *args)
+    def draw(self, n: int, draws) -> tuple[np.ndarray, ...]:
+        """The raw draws ``draws(generator, n)`` of a sampler, which binds
+        any parameter of its own into ``draws``."""
+        return draws(self.generator, n)
 
 
 # NumPy's SeedSequence (pool of 4 uint32 words), as in
@@ -232,10 +233,11 @@ class _StreamBlock:
         """The streams of rows ``rows`` of the block."""
         return _StreamBlock(self.keys[rows])
 
-    def draw(self, n: int, draws, *args) -> tuple[np.ndarray, ...]:
-        """Per raw draw of the sampler ``draws(generator, n, *args)``, the
-        (rows, n) stack of it, row i drawn from the block's stream i."""
-        rows = [draws(generator, n, *args) for generator in _generators(self.keys)]
+    def draw(self, n: int, draws) -> tuple[np.ndarray, ...]:
+        """Per raw draw of the sampler ``draws(generator, n)`` (no other
+        argument, as in :meth:`RngStream.draw`), the (rows, n) stack of it,
+        row i drawn from the block's stream i."""
+        rows = [draws(generator, n) for generator in _generators(self.keys)]
         if len(rows) == 1:  # a view: long samples are drawn one row at a time
             return tuple(raw[None] for raw in rows[0])
         return tuple(np.stack(raws) for raws in zip(*rows))

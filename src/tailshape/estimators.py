@@ -16,11 +16,10 @@ Five estimators are provided:
   (k+1)-th largest, i.e. Pareto maximum likelihood on the top of the sample.
 
 All estimators are pure functions of their input sample and are safe to call
-concurrently: a call keeps its buffers, output and helper thread (below) to
-itself, so k concurrent callers run at most 2k threads.  The draws of a
-peaks-over-threshold chunk (:func:`tailshape.montecarlo._draw_pot`) share
-one helper the same way, through :func:`_start_helper`, and a replication
-range draws and fits one after the other, so it too runs at most 2 threads.
+concurrently: a call keeps its buffers, output and helper thread
+(:func:`_share`) to itself, so k concurrent callers run at most 2k threads.
+A replication range draws (:func:`tailshape.montecarlo._draw_pot` shares its
+draws the same way) and fits one after the other, so it too runs at most 2.
 
 Each estimator has one numerical implementation, a private row kernel that
 fits a 2-D array of equal-length samples, one sample per row, and returns
@@ -39,14 +38,14 @@ The ``log1p`` values of a profile likelihood (the Zhang-Stephens grid and
 the GPD ML scan) are evaluated in blocks of at most
 :data:`ELEMENT_BUDGET` elements, over (row, grid point) pairs, written into
 one buffer per thread, so their memory does not grow with the number of rows
-or the sample size.  A call of at least 4 blocks shares them with a helper
-thread that it starts and joins, so no thread runs between calls; each (row,
-grid point) sum is one reduction whichever thread forms it, so the results
-do not depend on the number of cores.  The GPD ML scan and the Zhang-Stephens
-grid past one block are evaluated coarse to fine by one rule: each row leaves
-out its points whose chord bound is below its best coarse value by more than
-a margin, 800 for Zhang-Stephens and a rounding margin for GPD ML, so that
-the fits are those of the whole grid bit for bit (:func:`_pruned_profile`).
+or the sample size.  The blocks are shared with a helper thread
+(:func:`_share`); each (row, grid point) sum is one reduction whichever
+thread forms it, so the results do not depend on the number of cores.  The
+GPD ML scan and the Zhang-Stephens grid past one block are evaluated coarse
+to fine by one rule: each row leaves out its points whose chord bound is
+below its best coarse value by more than a margin, 800 for Zhang-Stephens and
+a rounding margin for GPD ML, so that the fits are those of the whole grid
+bit for bit (:func:`_pruned_profile`).
 """
 
 from __future__ import annotations
@@ -363,12 +362,9 @@ def _profile_xi(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
     the n values, divided by n once at the end, which rounds exactly as
     ``mean`` does.
 
-    A call of at least 4 blocks shares them with a helper thread
-    (:func:`_helpers`) that it starts and joins itself, NumPy's loops
-    releasing the GIL: the caller and its helper take blocks from one
-    iterator, and each thread evaluates its blocks in a buffer of its own and
-    writes their sums into their part of the output.  A call of fewer blocks,
-    or on a single core, runs them all on the caller.
+    The blocks are shared with a helper thread by :func:`_share`, NumPy's
+    loops releasing the GIL; each thread evaluates its blocks in a buffer of
+    its own and writes their sums into their part of the output.
     """
     rows, grid = theta.shape
     n = x.shape[1]
@@ -380,16 +376,7 @@ def _profile_xi(theta: np.ndarray, x: np.ndarray) -> np.ndarray:
         for g in range(0, grid, per_block)
     ]
     out = np.empty((rows, grid))
-    size = min(rows, row_step) * per_block * n
-    todo = iter(blocks)
-    joins = [
-        _start_helper(_xi_blocks, todo, theta, x, out, size) for _ in range(_helpers(len(blocks)))
-    ]
-    try:
-        _xi_blocks(todo, theta, x, out, size)
-    finally:
-        for join in joins:
-            join()
+    _share(_xi_blocks, blocks, theta, x, out, min(rows, row_step) * per_block * n)
     out /= n
     return out
 
@@ -401,37 +388,10 @@ def _xi_blocks(todo, theta, x, out, size: int) -> None:
     ``out[a:b, g:h]``."""
     n = x.shape[1]
     buf = np.empty(size)
-    for a, b, g, h in todo:  # one thread takes each: next() runs under the GIL
+    for a, b, g, h in todo:
         t = buf[: (b - a) * (h - g) * n].reshape(b - a, h - g, n)
         np.multiply(theta[a:b, g:h, None], x[a:b, None, :], out=t)
         np.add.reduce(np.log1p(t, out=t), axis=2, out=out[a:b, g:h])
-
-
-def _start_helper(work, *args):
-    """Run ``work(*args)`` on a new thread, under the caller's floating-point
-    error state (a new thread does not share it), and return a function that
-    waits for the thread to end and re-raises its exception, if any.
-    ``_thread`` does not wait, as ``threading.Thread.start`` does, for the new
-    thread to report that it has started."""
-    err, done, failed = np.geterr(), _thread.allocate_lock(), []
-    done.acquire()
-
-    def run():
-        try:
-            with np.errstate(**err):
-                work(*args)
-        except BaseException as exc:  # raised in the caller by join()
-            failed.append(exc)
-        finally:
-            done.release()
-
-    def join():
-        done.acquire()
-        if failed:
-            raise failed[0]
-
-    _thread.start_new_thread(run, ())
-    return join
 
 
 def _cores() -> int:
@@ -442,11 +402,43 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _helpers(items: int) -> int:
-    """Helper threads for a call of ``items`` work items: none below 4 items,
-    whose work costs less than waking a helper, or on a single core, else
-    one (more have not been measured on a machine with more cores)."""
-    return 1 if items >= 4 and _cores() > 1 else 0
+def _share(work, items, *args) -> None:
+    """Run ``work(todo, *args)``, where ``todo = iter(items)``, on the caller
+    and, for at least 4 items on more than one core, on one helper thread
+    too, both taking items from ``todo`` (``next()`` runs under the GIL, so
+    each item goes to one thread).  Fewer items cost less than waking a
+    helper; more helpers have not been measured on a machine with more cores.
+    ``work`` writes each item's result into its own slot, so the results do
+    not depend on the thread that takes an item.
+
+    The helper runs under the caller's floating-point error state (a new
+    thread does not share it) and is started by ``_thread``, which does not
+    wait, as ``threading.Thread.start`` does, for it to report that it has
+    started.  The caller waits for the helper before it returns, also when
+    its own ``work`` raised, and then raises the helper's exception, if any,
+    so no thread runs between calls."""
+    todo = iter(items)
+    if len(items) < 4 or _cores() < 2:
+        return work(todo, *args)
+    err, done, failed = np.geterr(), _thread.allocate_lock(), []
+    done.acquire()
+
+    def helper():
+        try:
+            with np.errstate(**err):
+                work(todo, *args)
+        except BaseException as exc:  # raised in the caller
+            failed.append(exc)
+        finally:
+            done.release()
+
+    _thread.start_new_thread(helper, ())
+    try:
+        work(todo, *args)
+    finally:
+        done.acquire()
+        if failed:
+            raise failed[0]
 
 
 def _profile_loglik(theta: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -331,8 +331,8 @@ def _replicate_range(spec: ExperimentSpec, start: int, stop: int):
     while a chunk is fitted, about eight of that size, then take a few MiB,
     and fewer, larger stacked calls share the per-call cost of the kernels.
     A peaks-over-threshold chunk's draws and a large profile likelihood each
-    share their work with one helper thread that they join before they
-    return, one call at a time, so a range runs at most 2 threads.
+    run on at most 2 threads (:func:`tailshape.estimators._share`), one call
+    at a time, so a range does too.
     """
     slots = {est: np.full(stop - start, np.nan) for est in spec.estimator_set}
     # pot_estimate fails every estimator of a row with fewer than 2 excesses
@@ -382,31 +382,23 @@ def _draw_pot(spec: ExperimentSpec, streams: _StreamBlock):
     :func:`tailshape.estimators._reduce_pot`, the reduction of
     :func:`~tailshape.pot.pot_estimate`, so only (rows x k) excesses and
     (rows x (k + 1)) tails are kept.
-    A chunk of at least 4 sub-chunks shares them with one helper thread
-    (:func:`tailshape.estimators._helpers`) that it starts and joins itself,
-    as a profile likelihood shares its blocks: the caller and its helper take
-    sub-chunks from one iterator and write each one's reduction into its own
-    slot.  Row i is drawn from stream i whichever thread draws it, so the
+    The sub-chunks are shared with a helper thread by
+    :func:`tailshape.estimators._share`, each one's reduction written into its
+    own slot.  Row i is drawn from stream i whichever thread draws it, so the
     rows do not depend on the number of cores.
     """
     per_draw = max(1, ELEMENT_BUDGET // (8 * spec.n))
     starts = range(0, len(streams), per_draw)
     parts = [None] * len(starts)
-    todo = enumerate(starts)
 
-    def draw():
-        for i, a in todo:  # one thread takes each: next() runs under the GIL
+    def draw(todo):
+        for i, a in todo:
             xs = spec.source.sample_rows(spec.n, streams[a : a + per_draw])
             if spec.fold_absolute:
                 np.abs(xs, out=xs)
             parts[i] = _reduce_pot(xs, spec.k)
 
-    joins = [estimators._start_helper(draw) for _ in range(estimators._helpers(len(parts)))]
-    try:
-        draw()
-    finally:
-        for join in joins:
-            join()
+    estimators._share(draw, list(enumerate(starts)))
     excesses, count, tail = (np.concatenate(part) for part in zip(*parts))
 
     def stack(rows, width):

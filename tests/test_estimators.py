@@ -1,5 +1,6 @@
 """Tests for the five shape-parameter estimators."""
 
+import _thread
 import inspect
 import math
 import os
@@ -808,6 +809,15 @@ def _os_threads():
         return threading.active_count()
 
 
+def _thread_starts(monkeypatch):
+    """A list that gets one entry per thread started by
+    ``_thread.start_new_thread`` (``threading`` does not call it) until the
+    test ends."""
+    started, start = [], _thread.start_new_thread
+    monkeypatch.setattr(_thread, "start_new_thread", lambda *a: started.append(1) or start(*a))
+    return started
+
+
 def _os_threads_down_to(count, timeout=1.0):
     """``_os_threads()`` once it is at most ``count``, or after ``timeout``
     seconds: a thread that has ended can stay listed for a moment."""
@@ -848,11 +858,7 @@ class TestProfileXi:
     @pytest.mark.parametrize("shape", SHAPES)
     def test_threaded_equal_to_allocating_loop(self, shape, monkeypatch):
         monkeypatch.setattr(estimators, "_cores", lambda: 2)
-        started = []
-        start_helper = estimators._start_helper
-        monkeypatch.setattr(
-            estimators, "_start_helper", lambda *args: started.append(1) or start_helper(*args)
-        )
+        started = _thread_starts(monkeypatch)
         theta, x = self._inputs(*shape)
         assert _profile_xi(theta, x).tobytes() == _allocating_profile_xi(theta, x).tobytes()
         blocks = _block_count(*shape)
@@ -884,9 +890,38 @@ class TestProfileXi:
         assert results == [[e] * 5 for e in expected]
 
     @pytest.mark.parametrize("cores, helpers", [(1, [0, 0, 0, 0, 0]), (2, [0, 0, 1, 1, 1])])
-    def test_helpers_per_block_count(self, cores, helpers, monkeypatch):
+    def test_share(self, cores, helpers, monkeypatch):
+        # per item count: the helper threads started, each item taken once,
+        # the helper under the caller's error state, the helper's exception
+        # raised in the caller once the caller's work is done, and no thread
+        # left after the call
         monkeypatch.setattr(estimators, "_cores", lambda: cores)
-        assert [estimators._helpers(blocks) for blocks in (1, 3, 4, 8, 467)] == helpers
+        started, caller = _thread_starts(monkeypatch), threading.get_ident()
+
+        def work(todo, seen, states):
+            states.append(np.geterr())
+            seen.extend(todo)
+
+        def failing(todo, seen):
+            if threading.get_ident() != caller:
+                raise KeyError("helper")
+            seen.extend(todo)
+
+        for items, helper in zip((1, 3, 4, 8, 467), helpers):
+            before, seen, states = _os_threads(), [], []
+            with np.errstate(all="ignore"):  # a new thread starts with NumPy's default
+                estimators._share(work, range(items), seen, states)
+                assert states == [np.geterr()] * (1 + helper)
+            assert sorted(seen) == list(range(items))
+            assert len(started) == helper
+            assert _os_threads_down_to(before) <= before
+            if helper:
+                seen = []
+                with pytest.raises(KeyError, match="helper"):
+                    estimators._share(failing, range(items), seen)
+                assert seen == list(range(items))
+                assert _os_threads_down_to(before) <= before
+            started.clear()
 
     @pytest.mark.parametrize("shape", SHAPES)
     def test_peak_memory_is_one_block(self, shape, monkeypatch):
@@ -903,7 +938,7 @@ class TestProfileXi:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        threads = 1 + estimators._helpers(_block_count(*shape))
+        threads = 2 if _block_count(*shape) >= 4 else 1  # _share's rule on 2 cores
         iterator = 2 * 8 * np.getbufsize()
         block = 8 * max(ELEMENT_BUDGET, shape[2])
         assert peak <= out.nbytes + threads * (block + iterator) + 4096

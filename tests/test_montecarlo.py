@@ -40,7 +40,7 @@ from tailshape import distributions, estimators, montecarlo
 from tailshape.distributions import _StreamBlock
 
 import sampler_oracle
-from test_estimators import _os_threads, _os_threads_down_to
+from test_estimators import _os_threads, _os_threads_down_to, _thread_starts
 
 SPEC = ExperimentSpec(GpdSource(GpdParams(1.0, 1.0, 0.5)), n=60, m=40, seed=123)
 
@@ -589,10 +589,7 @@ class TestThreadedPotDraws:
                                          (1000, 13)])
     def test_one_helper_from_four_sub_chunks(self, monkeypatch, cores, n, rows):
         monkeypatch.setattr(estimators, "_cores", lambda: cores)
-        started, start_helper = [], estimators._start_helper
-        monkeypatch.setattr(
-            estimators, "_start_helper", lambda *args: started.append(1) or start_helper(*args)
-        )
+        started = _thread_starts(monkeypatch)
         spec = ExperimentSpec(StudentTSource(2.0), n=n, m=rows, k=100, fold_absolute=True)
         montecarlo._draw_pot(spec, _StreamBlock.keyed(spec.seed, range(rows)))
         assert len(started) == (1 if cores == 2 and _sub_chunks(n, rows) >= 4 else 0)
